@@ -212,11 +212,30 @@ def _resolve_eps(a: AlgebraElement, tol: OrderTolerance | None) -> float:
     return _default_eps(a) if tol is None else tol.eps
 
 
+def _svd_norm(m: np.ndarray) -> float:
+    # Largest singular value: bit for bit what np.linalg.norm(m, 2) returns,
+    # without its axis-normalising wrapper.
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _hermitian_split(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Operator norm of m - m* and the Hermitian part 0.5 (m + m*).
+
+    An exactly Hermitian m has m - m* = 0, so its SVD is skipped. The
+    Hermitian part is rebuilt even then: the rebuild can flip the sign of a
+    zero entry, and eigvalsh's last bits depend on those signs.
+    """
+    mh = m.conj().T
+    diff = m - mh
+    asym = _svd_norm(diff) if np.count_nonzero(diff) else 0.0
+    return asym, 0.5 * (m + mh)
+
+
 def max_asymmetry(a: AlgebraElement) -> float:
     """Operator norm of a - a*; zero for real scalars and vectors."""
     if a.kind != "matrix":
         return 0.0
-    return float(np.linalg.norm(a.data - a.data.conj().T, 2))
+    return _hermitian_split(a.data)[0]
 
 
 def is_self_adjoint(a: AlgebraElement, tol: OrderTolerance | None = None) -> bool:
@@ -229,10 +248,10 @@ def spectrum(a: AlgebraElement, tol: OrderTolerance | None = None) -> np.ndarray
         return np.asarray([float(a.data)])
     if a.kind == "vector":
         return np.sort(np.asarray(a.data, dtype=float))
-    asym = max_asymmetry(a)
-    if asym > _resolve_eps(a, tol):
+    asym, hermitian_part = _hermitian_split(a.data)
+    # eps >= 0, so an exactly Hermitian matrix needs no eps
+    if asym > 0.0 and asym > _resolve_eps(a, tol):
         raise NotSelfAdjointError(asym)
-    hermitian_part = 0.5 * (a.data + a.data.conj().T)
     return np.linalg.eigvalsh(hermitian_part)
 
 
@@ -243,9 +262,10 @@ def is_positive(a: AlgebraElement, tol: OrderTolerance | None = None) -> bool:
         return float(a.data) >= -eps
     if a.kind == "vector":
         return float(np.min(a.data)) >= -eps
-    if max_asymmetry(a) > eps:
+    asym, hermitian_part = _hermitian_split(a.data)
+    if asym > eps:
         return False
-    return float(spectrum(a, OrderTolerance(eps))[0]) >= -eps
+    return float(np.linalg.eigvalsh(hermitian_part)[0]) >= -eps
 
 
 def leq(
@@ -261,7 +281,7 @@ def norm(a: AlgebraElement) -> float:
         return abs(float(a.data))
     if a.kind == "vector":
         return float(np.max(np.abs(a.data)))
-    return float(np.linalg.norm(a.data, 2))
+    return _svd_norm(a.data)
 
 
 def sqrt_positive(

@@ -207,3 +207,120 @@ def test_matrix_serial_field_names():
     d = alg.element_to_dict(alg.matrix([[1, 2], [3, 4]]))
     assert set(d) == {"kind", "n", "re", "im"}
     assert d["kind"] == "matrix" and d["n"] == 2
+
+
+# Reference copy of the SVD-based matrix order cone the algebra module used
+# before exactly Hermitian operands skipped the asymmetry SVD. The fast paths
+# must agree with it bit for bit.
+
+
+def _ref_norm(a):
+    return float(np.linalg.norm(a.data, 2))
+
+
+def _ref_eps(a, tol):
+    return 1e-9 * max(1.0, _ref_norm(a)) if tol is None else tol.eps
+
+
+def _ref_max_asymmetry(a):
+    return float(np.linalg.norm(a.data - a.data.conj().T, 2))
+
+
+def _ref_spectrum(a, tol):
+    asym = _ref_max_asymmetry(a)
+    if asym > _ref_eps(a, tol):
+        raise NotSelfAdjointError(asym)
+    return np.linalg.eigvalsh(0.5 * (a.data + a.data.conj().T))
+
+
+def _ref_is_positive(a, tol):
+    eps = _ref_eps(a, tol)
+    if _ref_max_asymmetry(a) > eps:
+        return False
+    return float(_ref_spectrum(a, OrderTolerance(eps))[0]) >= -eps
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _entries(rng, shape, scale):
+    """Normal entries times scale, about a third of them zeros of either sign."""
+    x = rng.normal(size=shape) * scale
+    zero = rng.random(shape) < 0.35
+    x[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+def _signed_zero(rng):
+    return 0.0 if rng.random() < 0.5 else -0.0
+
+
+def _hermitian(rng, n, scale):
+    """Exactly Hermitian data whose zero components carry independent signs."""
+    re, im = _entries(rng, (n, n), scale), _entries(rng, (n, n), scale)
+    m = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        m[i, i] = complex(re[i, i], _signed_zero(rng))
+        for j in range(i):
+            m[i, j] = complex(re[i, j], im[i, j])
+            # the mirror entry equals conj(m[i, j]) in value; a zero part may
+            # still take either sign
+            upper_re = _signed_zero(rng) if re[i, j] == 0 else re[i, j]
+            upper_im = _signed_zero(rng) if im[i, j] == 0 else -im[i, j]
+            m[j, i] = complex(upper_re, upper_im)
+    assert np.array_equal(m, m.conj().T)
+    return m
+
+
+@st.composite
+def _order_operand(draw):
+    n = draw(st.sampled_from([1, 2, 8]))
+    scale = 10.0 ** draw(st.floats(-12, 6))
+    kind = draw(st.sampled_from(["hermitian", "below_eps", "above_eps", "general"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "general":
+        data = _entries(rng, (n, n), scale) + 1j * _entries(rng, (n, n), scale)
+    else:
+        data = _hermitian(rng, n, scale)
+    if kind in ("below_eps", "above_eps") and n > 1:
+        # add an asymmetry of norm just below or just above the default eps
+        g = np.triu(np.ones((n, n)), 1) * (1 + 1j)
+        target = 1e-9 * max(1.0, _ref_norm(alg.matrix(data)))
+        target *= draw(st.floats(0.9, 0.999) if kind == "below_eps" else st.floats(1.001, 1.1))
+        data = data + g * (target / float(np.linalg.norm(g - g.conj().T, 2)))
+    a = alg.matrix(data)
+    tol = draw(st.one_of(
+        st.none(),
+        st.just(OrderTolerance(0.0)),
+        st.builds(OrderTolerance, st.sampled_from([
+            _ref_max_asymmetry(a), np.nextafter(_ref_max_asymmetry(a), 0.0),
+            1e-9 * scale, 1e-6 * scale,
+        ])),
+    ))
+    return a, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(_order_operand(), _order_operand())
+def test_matrix_order_cone_matches_svd_reference(operand, other):
+    a, tol = operand
+    assert alg.is_positive(a, tol) == _ref_is_positive(a, tol)
+    assert alg.is_self_adjoint(a, tol) == (_ref_max_asymmetry(a) <= _ref_eps(a, tol))
+    assert _same_bits(alg.norm(a), _ref_norm(a))
+    assert _same_bits(alg.max_asymmetry(a), _ref_max_asymmetry(a))
+    try:
+        expected = _ref_spectrum(a, tol)
+    except NotSelfAdjointError as exc:
+        with pytest.raises(NotSelfAdjointError) as raised:
+            alg.spectrum(a, tol)
+        assert _same_bits(raised.value.max_asymmetry, exc.max_asymmetry)
+    else:
+        assert _same_bits(alg.spectrum(a, tol), expected)
+    b = other[0]
+    if b.n == a.n:
+        assert alg.leq(b, a, tol) == _ref_is_positive(alg.sub(a, b), tol)
+    assert alg.leq(alg.zero("matrix", a.n), a, tol) == _ref_is_positive(
+        alg.sub(a, alg.zero("matrix", a.n)), tol
+    )
