@@ -21,7 +21,7 @@ import numpy as np
 from .contractions import ContractionSpec, InvalidSpecError, verify_contraction
 from .demos import DEMOS, run_demo
 from .partial import PartialProblem, solve_partial, verify_corollary_hypothesis
-from .registry import get_combiner, get_operator, get_phi, get_space
+from .registry import UnknownNameError, get_combiner, get_operator, get_phi, get_space
 from .solver import SolveConfig, SolverError, picard_solve
 from .spaces import check_metric_axioms, check_partial_axioms
 
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
         parser.error("--tol must be positive")
     try:
         return args.func(args)
-    except (ConfigError, InvalidSpecError, KeyError) as exc:
+    except (ConfigError, InvalidSpecError, UnknownNameError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_USAGE
     except SolverError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .contractions import ContractionSpec, check_F_axioms, verify_contraction
 from .partial import PartialProblem, solve_partial, verify_corollary_hypothesis
-from .registry import get_combiner, get_operator, get_phi, get_space
+from .registry import UnknownNameError, get_combiner, get_operator, get_phi, get_space
 from .solver import SolveConfig, bound_audit, picard_solve
 from .spaces import check_metric_axioms, check_partial_axioms
 
@@ -221,5 +221,5 @@ DEMOS: dict[str, Callable] = {
 def run_demo(demo_id: str, seed: int = 0, samples: int = 1000, tol: float = 1e-10) -> DemoResult:
     if demo_id not in DEMOS:
         known = ", ".join(sorted(DEMOS))
-        raise KeyError(f"unknown demo {demo_id!r}; known: {known}")
+        raise UnknownNameError(f"unknown demo {demo_id!r}; known: {known}")
     return DemoResult(demo_id=demo_id, stages=DEMOS[demo_id](seed, samples, tol))

@@ -21,6 +21,7 @@ from .contractions import (
 from .spaces import Box, Domain, Interval, ValuedDistance
 
 __all__ = [
+    "UnknownNameError",
     "NamedSpace",
     "SPACES",
     "OPERATORS",
@@ -31,6 +32,10 @@ __all__ = [
     "get_phi",
     "get_combiner",
 ]
+
+
+class UnknownNameError(KeyError):
+    """A name that no registry table (or the demo table) knows."""
 
 
 @dataclass(frozen=True)
@@ -144,11 +149,10 @@ COMBINERS = {
 
 
 def _lookup(table: dict, name: str, what: str):
-    try:
-        return table[name]()
-    except KeyError:
+    if name not in table:
         known = ", ".join(sorted(table))
-        raise KeyError(f"unknown {what} {name!r}; known: {known}") from None
+        raise UnknownNameError(f"unknown {what} {name!r}; known: {known}")
+    return table[name]()
 
 
 def get_space(name: str) -> NamedSpace:

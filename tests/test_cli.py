@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from cstarfix import cli
 from cstarfix.cli import main
+from cstarfix.demos import run_demo
+from cstarfix.registry import UnknownNameError, get_space
 
 
 def write(tmp_path, name, payload):
@@ -57,6 +60,26 @@ class TestAxiomsCommand:
     def test_unknown_space_exits_two(self, tmp_path):
         cfg = write(tmp_path, "a.json", {"space": "nope"})
         assert main(["axioms", "--config", cfg]) == 2
+
+    def test_internal_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "verify_contraction", broken)
+        cfg = write(
+            tmp_path, "v.json",
+            {"family": "plain", "k": 0.5, "space": "sum_premetric",
+             "operator": "halving", "phi": "coordinate_pair"},
+        )
+        with pytest.raises(KeyError, match="internal"):
+            main(["verify", "--config", cfg])
+
+    def test_unknown_name_error_is_a_key_error(self):
+        with pytest.raises(UnknownNameError, match="unknown space 'nope'"):
+            get_space("nope")
+        with pytest.raises(UnknownNameError, match="unknown demo 'bogus'"):
+            run_demo("bogus")
+        assert issubclass(UnknownNameError, KeyError)
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
