@@ -150,15 +150,16 @@ def picard_solve(
     if cfg.domain is not None and not cfg.domain.contains(x):
         raise OrbitEscapeError(0, x)
 
-    x1 = T(x)
-    f0 = F(d(x1, x), phi(x1), phi(x))
+    x_next = T(x)
+    f0 = F(d(x_next, x), phi(x_next), phi(x))
     bound = alg.norm(f0) / (1.0 - rate)
 
     iterates, indices, steps, bounds, phis = [], [], [], [], []
     converged_step = False
     n = 0
     for n in range(cfg.max_iter):
-        x_next = T(x)
+        if n:  # the first iterate T(x0) is already known
+            x_next = T(x)
         if not _finite(x_next):
             raise NonFiniteOrbitError(n)
         if cfg.domain is not None and not cfg.domain.contains(x_next):

@@ -136,6 +136,18 @@ class TestPicardSolve:
         payloads = [json.dumps(c.to_dict(), sort_keys=True) for c in runs]
         assert payloads[0] == payloads[1]
 
+    def test_operator_called_once_per_iteration_plus_residual(self):
+        # T(x0) feeds both the initial envelope and the first step; the final
+        # residual adds one more call. The golden CLI outputs pin the bytes.
+        prob = sum_premetric_problem()
+        calls = []
+        counted = OperatorSpec(lambda x: calls.append(x) or prob["T"](x), "counted-halving")
+        cfg = SolveConfig(x0=1.0, tol=1e-10)
+        cert = picard_solve(counted, prob["d"], prob["phi"], prob["F"], prob["spec"], cfg)
+        assert len(calls) == cert.iterations + 1
+        plain = picard_solve(prob["T"], prob["d"], prob["phi"], prob["F"], prob["spec"], cfg)
+        assert json.dumps(cert.to_dict()) == json.dumps(plain.to_dict())
+
     def test_orbit_escape_detected(self):
         prob = sum_premetric_problem()
         grower = OperatorSpec(lambda x: 2.0 * x + 0.1, "grower")
