@@ -290,10 +290,7 @@ def sqrt_positive(
     """Positive square root of a positivity-certified element."""
     eps = _resolve_eps(a, tol)
     if not is_positive(a, OrderTolerance(eps)):
-        smin = float(spectrum(a, OrderTolerance(np.inf))[0]) if a.kind != "matrix" else (
-            float(np.linalg.eigvalsh(0.5 * (a.data + a.data.conj().T))[0])
-        )
-        raise NotPositiveError(smin)
+        raise NotPositiveError(float(spectrum(a, OrderTolerance(np.inf))[0]))
     if a.kind == "scalar":
         return scalar(np.sqrt(max(float(a.data), 0.0)))
     if a.kind == "vector":
