@@ -8,8 +8,11 @@ every byte unchanged. After a deliberate output change, regenerate with:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -66,10 +69,6 @@ def test_structured_output_matches_golden(case, tmp_path, capsys):
 
 
 def _regenerate() -> None:
-    import contextlib
-    import io
-    import tempfile
-
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
