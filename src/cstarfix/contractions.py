@@ -9,14 +9,15 @@ counterexample; runs are deterministic given (seed, sample_count).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Callable, Iterable, Literal, Optional
 
 import numpy as np
 
 from . import algebra as alg
 from .algebra import AlgebraElement, OrderTolerance
-from .spaces import AxiomCheck, AxiomReport, Domain, ValuedDistance
+from .spaces import AxiomCheck, AxiomReport, Domain, ValuedDistance, first_failure, point_repr
 
 Family = Literal["plain", "graphic", "weak", "kannan", "reich", "chatterjea"]
 
@@ -57,7 +58,6 @@ class PhiFunction:
 
     fn: Callable[[object], AlgebraElement]
     label: str
-    lsc_assumed: bool = True
 
     def __call__(self, x) -> AlgebraElement:
         return self.fn(x)
@@ -192,34 +192,20 @@ def check_F_axioms(
     while len(triples) < sample_count:
         triples.append(tuple(_sample_positive(kind, n, rng) for _ in range(3)))
 
-    witness = None
-    for a, b, c in triples:
+    def dominated(a, b, c):
         out = F(a, b, c)
-        if not (alg.leq(a, out, tol) and alg.leq(b, out, tol)):
-            witness = {
-                "points": {},
-                "inputs": [alg.element_to_dict(v) for v in (a, b, c)],
-                "offending": alg.element_to_dict(out),
-            }
-            break
-    report.checks.append(
-        AxiomCheck(
-            "dominance",
-            "fail" if witness else "pass",
-            len(triples),
-            witness,
-        )
-    )
+        return alg.leq(a, out, tol) and alg.leq(b, out, tol), out
 
-    at_zero = F(theta, theta, theta)
-    zero_ok = alg.norm(at_zero) <= alg._resolve_eps(at_zero, tol)
+    def inputs(triple):
+        return {"points": {}, "inputs": [alg.element_to_dict(v) for v in triple]}
+
+    def vanishes(a, b, c):
+        out = F(a, b, c)
+        return alg.norm(out) <= alg._resolve_eps(out, tol), out
+
+    report.checks.append(first_failure("dominance", triples, dominated, inputs))
     report.checks.append(
-        AxiomCheck(
-            "zero-preservation",
-            "pass" if zero_ok else "fail",
-            1,
-            None if zero_ok else {"points": {}, "offending": alg.element_to_dict(at_zero)},
-        )
+        first_failure("zero-preservation", [(theta,) * 3], vanishes, lambda _: {"points": {}})
     )
 
     # empirical continuity modulus: output change per unit input change
@@ -269,12 +255,6 @@ class VerificationResult:
         if self.counterexample is not None:
             d["counterexample"] = self.counterexample
         return d
-
-
-def _point_repr(x):
-    if isinstance(x, np.ndarray):
-        return [float(v) for v in x]
-    return float(x)
 
 
 def inequality_sides(
@@ -329,6 +309,50 @@ def inequality_sides(
     return lhs, rhs
 
 
+def uniform_samples(domain: Domain, count: int, rng: np.random.Generator, single_point: bool):
+    """Lazy stream of count (x, y) domain samples; y is None for single-point families."""
+    for _ in range(count):
+        x = domain.sample(rng)
+        yield x, (None if single_point else domain.sample(rng))
+
+
+def sample_check(
+    inequality: str,
+    spec: ContractionSpec,
+    samples: Iterable[tuple],
+    sides: Callable[[object, object], tuple[AlgebraElement, AlgebraElement]],
+    sample_count: int,
+    seed: int,
+    tol: OrderTolerance | None,
+) -> VerificationResult:
+    """Certify lhs <= rhs from sides(x, y) over the (x, y) samples, or stop at
+    the first counterexample (lowest sample index wins)."""
+    max_slack = 0.0
+    ce = None
+    for idx, (x, y) in enumerate(samples):
+        lhs, rhs = sides(x, y)
+        if not alg.leq(lhs, rhs, tol):
+            ce = {
+                "index": idx,
+                "x": point_repr(x),
+                "lhs": alg.element_to_dict(lhs),
+                "rhs": alg.element_to_dict(rhs),
+            }
+            if y is not None:
+                ce["y"] = point_repr(y)
+            break
+        max_slack = max(max_slack, alg.norm(alg.sub(rhs, lhs)))
+    return VerificationResult(
+        inequality=inequality,
+        certified=ce is None,
+        seed=seed,
+        sample_count=sample_count,
+        max_slack_norm=max_slack,
+        spec=spec,
+        counterexample=ce,
+    )
+
+
 def verify_contraction(
     spec: ContractionSpec,
     T: OperatorSpec,
@@ -343,62 +367,30 @@ def verify_contraction(
     """Certify the family inequality over a seeded sample, or produce the
     first counterexample (lowest sample index wins)."""
     rng = np.random.default_rng(seed)
-    single_point = spec.family == "graphic"
-
-    samples = []
-    if single_point:
-        samples = [(domain.sample(rng), None) for _ in range(sample_count)]
-    else:
-        n_uniform = sample_count
-        if spec.family == "weak":
-            # stratify: the relaxation term vanishes near y = Tx, which is
-            # where the inequality binds
-            n_uniform = sample_count - sample_count // 2
-        for _ in range(n_uniform):
-            samples.append((domain.sample(rng), domain.sample(rng)))
-        while len(samples) < sample_count:
-            x = domain.sample(rng)
-            y = _jitter_toward(T(x), domain, rng)
-            samples.append((x, y))
-
-    max_slack = 0.0
-    for idx, (x, y) in enumerate(samples):
-        lhs, rhs = inequality_sides(spec, T, d, phi, F, x, y)
-        if not alg.leq(lhs, rhs, tol):
-            ce = {
-                "index": idx,
-                "x": _point_repr(x),
-                "lhs": alg.element_to_dict(lhs),
-                "rhs": alg.element_to_dict(rhs),
-            }
-            if y is not None:
-                ce["y"] = _point_repr(y)
-            return VerificationResult(
-                inequality=spec.family,
-                certified=False,
-                seed=seed,
-                sample_count=sample_count,
-                max_slack_norm=max_slack,
-                spec=spec,
-                counterexample=ce,
-            )
-        max_slack = max(max_slack, alg.norm(alg.sub(rhs, lhs)))
-    return VerificationResult(
-        inequality=spec.family,
-        certified=True,
-        seed=seed,
-        sample_count=sample_count,
-        max_slack_norm=max_slack,
-        spec=spec,
+    n_uniform = sample_count
+    if spec.family == "weak":
+        # stratify: the relaxation term vanishes near y = Tx, which is
+        # where the inequality binds
+        n_uniform = sample_count - sample_count // 2
+    samples = itertools.chain(
+        uniform_samples(domain, n_uniform, rng, spec.family == "graphic"),
+        _jittered_pairs(T, domain, sample_count - n_uniform, rng),
     )
 
+    def sides(x, y):
+        return inequality_sides(spec, T, d, phi, F, x, y)
 
-def _jitter_toward(target, domain: Domain, rng: np.random.Generator):
-    """A domain point near the target, for stratified weak-family sampling."""
-    fresh = domain.sample(rng)
-    t = np.asarray(target, dtype=float)
-    f = np.asarray(fresh, dtype=float)
-    mixed = t + 0.05 * (f - t)
-    if domain.contains(mixed):
-        return float(mixed) if mixed.ndim == 0 else mixed
-    return fresh
+    return sample_check(spec.family, spec, samples, sides, sample_count, seed, tol)
+
+
+def _jittered_pairs(T: OperatorSpec, domain: Domain, count: int, rng: np.random.Generator):
+    """Pairs (x, y) with y a domain point near T(x), for stratified weak-family sampling."""
+    for _ in range(count):
+        x = domain.sample(rng)
+        t = np.asarray(T(x), dtype=float)
+        fresh = domain.sample(rng)
+        mixed = t + 0.05 * (np.asarray(fresh, dtype=float) - t)
+        if domain.contains(mixed):
+            yield x, (float(mixed) if mixed.ndim == 0 else mixed)
+        else:
+            yield x, fresh

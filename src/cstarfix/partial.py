@@ -21,7 +21,9 @@ from .contractions import (
     OperatorSpec,
     PhiFunction,
     VerificationResult,
+    sample_check,
     sum_combiner,
+    uniform_samples,
 )
 from .solver import ConvergenceCertificate, SolveConfig, picard_solve
 from .spaces import Domain, ValuedDistance, induced_metric
@@ -33,17 +35,6 @@ __all__ = [
     "verify_corollary_hypothesis",
     "solve_partial",
 ]
-
-# corollary names accepted in configs, mapped onto contraction families
-COROLLARY_FAMILIES = {
-    "banach": "plain",
-    "graphic": "graphic",
-    "weak": "weak",
-    "kannan": "kannan",
-    "reich": "reich",
-    "chatterjea": "chatterjea",
-}
-
 
 @dataclass(frozen=True)
 class PartialProblem:
@@ -62,7 +53,7 @@ def reduce_problem(
     """Induced metric, self-distance penalty, sum combiner, same constants."""
     p = problem.p
     d = induced_metric(p)
-    phi = PhiFunction(lambda x: p(x, x), label="self-distance", lsc_assumed=True)
+    phi = PhiFunction(lambda x: p(x, x), label="self-distance")
     return d, phi, sum_combiner(), problem.spec
 
 
@@ -96,12 +87,6 @@ def corollary_sides(
     return lhs, rhs
 
 
-def _point_repr(x):
-    if isinstance(x, np.ndarray):
-        return [float(v) for v in x]
-    return float(x)
-
-
 def verify_corollary_hypothesis(
     problem: PartialProblem,
     domain: Domain,
@@ -111,38 +96,13 @@ def verify_corollary_hypothesis(
 ) -> VerificationResult:
     """Sample the corollary inequality in p; certificate or first counterexample."""
     rng = np.random.default_rng(seed)
-    single_point = problem.spec.family == "graphic"
-    max_slack = 0.0
-    for idx in range(sample_count):
-        x = domain.sample(rng)
-        y = None if single_point else domain.sample(rng)
-        lhs, rhs = corollary_sides(problem, x, y)
-        if not alg.leq(lhs, rhs, tol):
-            ce = {
-                "index": idx,
-                "x": _point_repr(x),
-                "lhs": alg.element_to_dict(lhs),
-                "rhs": alg.element_to_dict(rhs),
-            }
-            if y is not None:
-                ce["y"] = _point_repr(y)
-            return VerificationResult(
-                inequality=f"partial-{problem.spec.family}",
-                certified=False,
-                seed=seed,
-                sample_count=sample_count,
-                max_slack_norm=max_slack,
-                spec=problem.spec,
-                counterexample=ce,
-            )
-        max_slack = max(max_slack, alg.norm(alg.sub(rhs, lhs)))
-    return VerificationResult(
-        inequality=f"partial-{problem.spec.family}",
-        certified=True,
-        seed=seed,
-        sample_count=sample_count,
-        max_slack_norm=max_slack,
-        spec=problem.spec,
+    samples = uniform_samples(domain, sample_count, rng, problem.spec.family == "graphic")
+
+    def sides(x, y):
+        return corollary_sides(problem, x, y)
+
+    return sample_check(
+        f"partial-{problem.spec.family}", problem.spec, samples, sides, sample_count, seed, tol
     )
 
 

@@ -99,12 +99,7 @@ SPACES = {
 
 
 def _scale_map(factor: float, label: str) -> OperatorSpec:
-    def fn(x):
-        if isinstance(x, np.ndarray):
-            return factor * x
-        return factor * x
-
-    return OperatorSpec(fn, label)
+    return OperatorSpec(lambda x: factor * x, label)
 
 
 OPERATORS = {

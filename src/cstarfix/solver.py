@@ -20,7 +20,7 @@ import numpy as np
 
 from . import algebra as alg
 from .contractions import ContractionSpec, FFunction, OperatorSpec, PhiFunction, effective_rate
-from .spaces import Domain, ValuedDistance
+from .spaces import Domain, ValuedDistance, point_repr
 
 __all__ = [
     "SolveConfig",
@@ -74,12 +74,6 @@ def _recorded(n: int) -> bool:
     return n <= DENSE_RECORD_LIMIT or n % SPARSE_RECORD_STRIDE == 0
 
 
-def _point_repr(x):
-    if isinstance(x, np.ndarray):
-        return [float(v) for v in x]
-    return float(x)
-
-
 def _finite(x) -> bool:
     return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
 
@@ -105,7 +99,7 @@ class ConvergenceCertificate:
         return {
             "converged": self.converged,
             "iterations": self.iterations,
-            "z": _point_repr(self.z),
+            "z": point_repr(self.z),
             "residual_fixed": self.residual_fixed,
             "residual_phi": self.residual_phi,
             "rate_used": self.rate_used,
@@ -272,7 +266,7 @@ def uniqueness_probe(
             pairwise.append({"i": i, "j": j, "distance_norm": dist})
             all_close = all_close and dist <= tol
     return {
-        "limits": [_point_repr(c.z) for c in certs],
+        "limits": [point_repr(c.z) for c in certs],
         "pairwise": pairwise,
         "all_below_tol": all_close,
         "tol": tol,

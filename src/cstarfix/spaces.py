@@ -6,6 +6,7 @@ no counterexample was found among N deterministic samples, never a proof.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional, Sequence
 
@@ -115,7 +116,8 @@ class SequenceProbe:
     limit: Optional[object] = None
 
 
-def _point_repr(x):
+def point_repr(x):
+    """A point as JSON-ready floats: a list for box points, a float otherwise."""
     if isinstance(x, np.ndarray):
         return [float(v) for v in x]
     return float(x)
@@ -157,11 +159,92 @@ class AxiomReport:
         }
 
 
-def _witness(points: dict, offending: AlgebraElement) -> dict:
-    return {
-        "points": {k: _point_repr(v) for k, v in points.items()},
-        "offending": alg.element_to_dict(offending),
-    }
+def _named_points(item: tuple) -> dict:
+    return {"points": {k: point_repr(v) for k, v in zip("xyz", item)}}
+
+
+def first_failure(
+    axiom: str, items: Sequence[tuple], predicate: Callable, describe=_named_points
+) -> AxiomCheck:
+    """Verdict of one sampled axiom: a fail at the first item for which
+    predicate(*item) returns (False, offending), witnessed by describe(item)
+    and the offending element, or a pass over all items."""
+    for item in items:
+        ok, offending = predicate(*item)
+        if not ok:
+            witness = {**describe(item), "offending": alg.element_to_dict(offending)}
+            return AxiomCheck(axiom, "fail", len(items), witness)
+    return AxiomCheck(axiom, "pass", len(items))
+
+
+def _check_axioms(
+    d: ValuedDistance, axioms: tuple, domain: Domain, sample_count: int, seed: int, tol
+) -> list:
+    """Each (name, arity, predicate) in order, over cyclically consecutive
+    sampled points, pairs or triples."""
+    pts = sample_points(domain, sample_count, seed)
+    n = len(pts)
+    checks = []
+    for axiom, arity, predicate in axioms:
+        items = [tuple(pts[(i + j) % n] for j in range(arity)) for i in range(n)]
+        checks.append(first_failure(axiom, items, functools.partial(predicate, d, tol)))
+    return checks
+
+
+def _nonnegative(d, tol, x, y):
+    v = d(x, y)
+    return alg.is_positive(v, tol), v
+
+
+def _symmetric(d, tol, x, y):
+    dxy = d(x, y)
+    diff = alg.sub(dxy, d(y, x))
+    return alg.norm(diff) <= alg._resolve_eps(dxy, tol), diff
+
+
+def _triangle(d, tol, x, y, z, self_term: bool = False):
+    rhs = alg.add(d(x, z), d(z, y))
+    if self_term:  # the partial triangle is corrected by the middle self-distance
+        rhs = alg.sub(rhs, d(z, z))
+    dxy = d(x, y)
+    return alg.leq(dxy, rhs, tol), alg.sub(rhs, dxy)
+
+
+def _indistinguishable(p, tol, x, y):
+    # converse direction: p(x,x) = p(y,y) = p(x,y) forces x = y
+    pxx, pyy, pxy = p(x, x), p(y, y), p(x, y)
+    eps = alg._resolve_eps(pxy, tol)
+    coincide = (
+        alg.norm(alg.sub(pxx, pxy)) <= eps and alg.norm(alg.sub(pyy, pxy)) <= eps
+    )
+    same_point = float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) <= 1e-9
+    return (not coincide) or same_point, alg.sub(pxy, pxx)
+
+
+def _small_self(p, tol, x, y):
+    pxx, pxy = p(x, x), p(x, y)
+    return alg.leq(pxx, pxy, tol), alg.sub(pxy, pxx)
+
+
+def _self_zero(d, tol, x):
+    v = d(x, x)
+    return alg.norm(v) <= alg._resolve_eps(v, tol), v
+
+
+_PARTIAL_AXIOMS = (
+    ("nonnegativity", 2, _nonnegative),
+    ("indistinguishability", 2, _indistinguishable),
+    ("symmetry", 2, _symmetric),
+    ("self-distance", 2, _small_self),
+    ("triangle", 3, functools.partial(_triangle, self_term=True)),
+)
+
+_METRIC_AXIOMS = (
+    ("nonnegativity", 2, _nonnegative),
+    ("self-distance-zero", 1, _self_zero),
+    ("symmetry", 2, _symmetric),
+    ("triangle", 3, _triangle),
+)
 
 
 def check_partial_axioms(
@@ -179,63 +262,8 @@ def check_partial_axioms(
     """
     if p.flavor not in ("partial", "premetric"):
         raise ValueError("partial axiom check needs a partial or premetric flavor")
-    pts = sample_points(domain, sample_count, seed)
-    pairs = list(zip(pts, pts[1:] + pts[:1]))
-    report = AxiomReport(label=p.label or "partial-metric", seed=seed)
-
-    def first_fail(axiom, predicate, items):
-        for item in items:
-            ok, points, offending = predicate(item)
-            if not ok:
-                report.checks.append(
-                    AxiomCheck(axiom, "fail", len(items), _witness(points, offending))
-                )
-                return
-        report.checks.append(AxiomCheck(axiom, "pass", len(items)))
-
-    def nonneg(pair):
-        x, y = pair
-        v = p(x, y)
-        return alg.is_positive(v, tol), {"x": x, "y": y}, v
-
-    first_fail("nonnegativity", nonneg, pairs)
-
-    def indist(pair):
-        # converse direction: p(x,x) = p(y,y) = p(x,y) forces x = y
-        x, y = pair
-        pxx, pyy, pxy = p(x, x), p(y, y), p(x, y)
-        eps = alg._resolve_eps(pxy, tol)
-        coincide = (
-            alg.norm(alg.sub(pxx, pxy)) <= eps and alg.norm(alg.sub(pyy, pxy)) <= eps
-        )
-        same_point = float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) <= 1e-9
-        return (not coincide) or same_point, {"x": x, "y": y}, alg.sub(pxy, pxx)
-
-    first_fail("indistinguishability", indist, pairs)
-
-    def symmetry(pair):
-        x, y = pair
-        diff = alg.sub(p(x, y), p(y, x))
-        eps = alg._resolve_eps(p(x, y), tol)
-        return alg.norm(diff) <= eps, {"x": x, "y": y}, diff
-
-    first_fail("symmetry", symmetry, pairs)
-
-    def small_self(pair):
-        x, y = pair
-        return alg.leq(p(x, x), p(x, y), tol), {"x": x, "y": y}, alg.sub(p(x, y), p(x, x))
-
-    first_fail("self-distance", small_self, pairs)
-
-    triples = list(zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2]))
-
-    def triangle(tri):
-        x, y, z = tri
-        rhs = alg.sub(alg.add(p(x, z), p(z, y)), p(z, z))
-        return alg.leq(p(x, y), rhs, tol), {"x": x, "y": y, "z": z}, alg.sub(rhs, p(x, y))
-
-    first_fail("triangle", triangle, triples)
-    return report
+    checks = _check_axioms(p, _PARTIAL_AXIOMS, domain, sample_count, seed, tol)
+    return AxiomReport(label=p.label or "partial-metric", seed=seed, checks=checks)
 
 
 def check_metric_axioms(
@@ -248,49 +276,8 @@ def check_metric_axioms(
     """Sampled validation of the plain metric axioms (self-distance zero)."""
     if d.flavor not in ("metric", "premetric"):
         raise ValueError("metric axiom check needs a metric or premetric flavor")
-    pts = sample_points(domain, sample_count, seed)
-    pairs = list(zip(pts, pts[1:] + pts[:1]))
-    report = AxiomReport(label=d.label or "metric", seed=seed)
-
-    def run(axiom, predicate, items):
-        for item in items:
-            ok, points, offending = predicate(item)
-            if not ok:
-                report.checks.append(
-                    AxiomCheck(axiom, "fail", len(items), _witness(points, offending))
-                )
-                return
-        report.checks.append(AxiomCheck(axiom, "pass", len(items)))
-
-    run(
-        "nonnegativity",
-        lambda pr: (alg.is_positive(d(*pr), tol), {"x": pr[0], "y": pr[1]}, d(*pr)),
-        pairs,
-    )
-
-    def self_zero(x):
-        v = d(x, x)
-        eps = alg._resolve_eps(v, tol)
-        return alg.norm(v) <= eps, {"x": x}, v
-
-    run("self-distance-zero", self_zero, pts)
-
-    def symmetry(pr):
-        x, y = pr
-        diff = alg.sub(d(x, y), d(y, x))
-        return alg.norm(diff) <= alg._resolve_eps(d(x, y), tol), {"x": x, "y": y}, diff
-
-    run("symmetry", symmetry, pairs)
-
-    triples = list(zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2]))
-
-    def triangle(tri):
-        x, y, z = tri
-        rhs = alg.add(d(x, z), d(z, y))
-        return alg.leq(d(x, y), rhs, tol), {"x": x, "y": y, "z": z}, alg.sub(rhs, d(x, y))
-
-    run("triangle", triangle, triples)
-    return report
+    checks = _check_axioms(d, _METRIC_AXIOMS, domain, sample_count, seed, tol)
+    return AxiomReport(label=d.label or "metric", seed=seed, checks=checks)
 
 
 def induced_metric(p: ValuedDistance) -> ValuedDistance:

@@ -183,6 +183,25 @@ class TestVerifyContraction:
         lhs, rhs = inequality_sides(spec, T, d, phi, F, ce["x"], ce["y"])
         assert not alg.leq(lhs, rhs)
 
+    def test_weak_stream_is_lazy(self):
+        # a failure at sample 0 must not first draw the jittered half of the
+        # stratified weak stream, each of whose pairs evaluates T
+        calls = []
+        T = OperatorSpec(lambda x: calls.append(x) or x, "counted-identity")
+        d = ValuedDistance("scalar", 1, lambda x, y: alg.scalar(abs(x - y)), "metric")
+        result = verify_contraction(
+            ContractionSpec("weak", k=0.5, alpha=0.0),
+            T,
+            d,
+            zero_phi("scalar"),
+            sum_combiner(),
+            Interval(0.0, 1.0),
+            1000,
+            seed=0,
+        )
+        assert result.counterexample["index"] == 0
+        assert len(calls) <= 4
+
     def test_graphic_family_single_point(self):
         spec, _, d, phi, F, dom = sum_premetric_setup()
         result = verify_contraction(
