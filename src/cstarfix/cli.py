@@ -101,16 +101,18 @@ def cmd_demo(args) -> int:
 
 def cmd_axioms(args) -> int:
     cfg = _load_config(args.config)
-    space = get_space(_require(cfg, "space"))
+    name = _require(cfg, "space")
+    space = get_space(name)
+    flavor = space.distance.flavor
     check = cfg.get("check")
     if check is None:
-        check = "partial" if space.distance.flavor == "partial" else "metric"
-    if check == "partial":
-        report = check_partial_axioms(space.distance, space.domain, args.samples, args.seed)
-    elif check == "metric":
-        report = check_metric_axioms(space.distance, space.domain, args.samples, args.seed)
-    else:
+        check = "partial" if flavor == "partial" else "metric"
+    if check not in ("partial", "metric"):
         raise ConfigError(f"check must be 'partial' or 'metric', got {check!r}")
+    if flavor not in (check, "premetric"):
+        raise ConfigError(f"check {check!r} does not fit space {name!r} of {flavor} flavor")
+    checker = check_partial_axioms if check == "partial" else check_metric_axioms
+    report = checker(space.distance, space.domain, args.samples, args.seed)
     _dump(report.to_dict(), args.format, args.out)
     return EXIT_OK
 

@@ -57,6 +57,16 @@ class TestAxiomsCommand:
         assert main(["axioms", "--config", cfg, "--samples", "300"]) == 0
         assert json.loads(capsys.readouterr().out)["all_pass"]
 
+    @pytest.mark.parametrize(
+        "space,check",
+        [("shifted_max_matrix", "metric"), ("diag_absdiff_matrix", "partial")],
+    )
+    def test_check_of_the_wrong_flavor_exits_two(self, tmp_path, capsys, space, check):
+        cfg = write(tmp_path, "a.json", {"space": space, "check": check})
+        assert main(["axioms", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_unknown_space_exits_two(self, tmp_path):
         cfg = write(tmp_path, "a.json", {"space": "nope"})
         assert main(["axioms", "--config", cfg]) == 2
