@@ -144,8 +144,18 @@ class ContractionSpec:
 
 
 def effective_rate(spec: ContractionSpec) -> float:
-    """Per-step geometric factor implied by the family constants."""
-    if spec.family == "kannan":
+    """Per-step geometric factor implied by the family constants.
+
+    s_n is the step value at (x_n, x_{n+1}) on the orbit x_{n+1} = T x_n; each
+    family's inequality at (x, y) = (x_n, x_{n+1}) gives:
+    plain, graphic, weak (whose relaxation term vanishes at y = Tx): s_{n+1} <= k s_n.
+    kannan: s_{n+1} <= k (s_n + s_{n+1}), rate k / (1 - k).
+    reich: at (x, y) = (x_{n+1}, x_n), s_{n+1} <= (alpha + gamma) s_n + beta s_{n+1},
+    rate (alpha + gamma) / (1 - beta).
+    chatterjea: d(y, Tx) vanishes and d(x, Ty) <= s_n + s_{n+1} by the triangle
+    inequality, so s_{n+1} <= k (s_n + s_{n+1}), rate k / (1 - k).
+    """
+    if spec.family in ("kannan", "chatterjea"):
         return spec.k / (1.0 - spec.k)
     if spec.family == "reich":
         return (spec.alpha + spec.gamma) / (1.0 - spec.beta)

@@ -64,6 +64,9 @@ class TestEffectiveRate:
     def test_kannan(self):
         assert effective_rate(ContractionSpec("kannan", k=1 / 3)) == pytest.approx(0.5)
 
+    def test_chatterjea(self):
+        assert effective_rate(ContractionSpec("chatterjea", k=0.4)) == pytest.approx(0.4 / 0.6)
+
     def test_reich(self):
         spec = ContractionSpec("reich", alpha=0.2, beta=0.3, gamma=0.1)
         assert effective_rate(spec) == pytest.approx(0.3 / 0.7)
@@ -71,7 +74,6 @@ class TestEffectiveRate:
     def test_identity_families(self):
         assert effective_rate(ContractionSpec("plain", k=0.5)) == 0.5
         assert effective_rate(ContractionSpec("weak", k=0.25, alpha=2.0)) == 0.25
-        assert effective_rate(ContractionSpec("chatterjea", k=0.4999)) == 0.4999
 
     @pytest.mark.parametrize(
         "spec",

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarfix import algebra as alg
 from cstarfix.contractions import (
@@ -9,6 +11,7 @@ from cstarfix.contractions import (
     OperatorSpec,
     square_first_combiner,
     sum_combiner,
+    verify_contraction,
     zero_phi,
 )
 from cstarfix.registry import get_combiner, get_operator, get_phi, get_space
@@ -226,6 +229,30 @@ class TestBoundAudit:
         assert cert.rate_used == pytest.approx(0.5)
         audit = bound_audit(cert, abs_metric())
         assert audit["passed"]
+
+    @staticmethod
+    def chatterjea_halving(k, samples):
+        """Certify Chatterjea(k) for T = x/2 on [-1, 1], then solve from 1 and audit."""
+        d, T, dom = abs_metric(), get_operator("halving"), Interval(-1.0, 1.0)
+        spec, phi, F = ContractionSpec("chatterjea", k=k), zero_phi("scalar"), sum_combiner()
+        result = verify_contraction(spec, T, d, phi, F, dom, samples, seed=0)
+        cert = picard_solve(T, d, phi, F, spec, SolveConfig(x0=1.0, tol=1e-10, domain=dom))
+        return result, cert, bound_audit(cert, d)
+
+    @pytest.mark.parametrize("k", [0.34, 0.4])
+    def test_chatterjea_orbit_audit(self, k):
+        # T = x/2 meets the Chatterjea inequality for every k >= 1/3 while its
+        # orbit contracts at 1/2 > k, so a rate of k undercuts the orbit
+        result, cert, audit = self.chatterjea_halving(k, 20_000)
+        assert result.certified and cert.converged
+        assert audit["passed"], audit["max_violation"]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(1 / 3, 0.5, exclude_min=True, exclude_max=True))
+    def test_certified_chatterjea_orbit_passes_audit(self, k):
+        result, cert, audit = self.chatterjea_halving(k, 1000)
+        assert result.certified and cert.converged
+        assert audit["passed"], audit["max_violation"]
 
     def test_audit_requires_convergence(self):
         prob = sum_premetric_problem()
