@@ -103,7 +103,7 @@ class AlgebraElement:
                 raise AlgebraError("matrix data must be square and nonempty")
         else:
             raise AlgebraError(f"unknown kind {self.kind!r}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise AlgebraError("element data must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -203,43 +203,80 @@ def involution(a: AlgebraElement) -> AlgebraElement:
     return a
 
 
-def _default_eps(a: AlgebraElement) -> float:
+def _default_eps(norms):
     # Relative slack keeps the positivity predicate scale-stable.
-    return 1e-9 * max(1.0, norm(a))
+    return 1e-9 * np.maximum(1.0, norms)
 
 
-def _resolve_eps(a: AlgebraElement, tol: OrderTolerance | None) -> float:
-    return _default_eps(a) if tol is None else tol.eps
+def _resolve_eps(norms, tol: OrderTolerance | None):
+    """The order slack of elements with these norms."""
+    return _default_eps(norms) if tol is None else tol.eps
 
 
-def _svd_norm(m: np.ndarray) -> float:
-    # Largest singular value: bit for bit what np.linalg.norm(m, 2) returns,
-    # without its axis-normalising wrapper.
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+def stack(elements) -> tuple[Kind, np.ndarray]:
+    """Kind and (N,), (N, n) or (N, n, n) row stack of elements of one kind and size."""
+    first = elements[0]
+    kind, shape = first.kind, first.data.shape
+    for e in elements:
+        if e.kind != kind or e.data.shape != shape:
+            raise DimensionMismatchError(
+                f"incompatible operands: {first.kind}(n={first.n}) vs {e.kind}(n={e.n})"
+            )
+    return kind, np.array([e.data for e in elements])
 
 
-def _hermitian_split(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Operator norm of m - m* and the Hermitian part 0.5 (m + m*).
+def norm_rows(kind: Kind, data: np.ndarray) -> np.ndarray:
+    """The norm of each row of a stack; row for row what norm returns."""
+    if kind == "scalar":
+        return np.abs(data)
+    if kind == "vector":
+        return np.max(np.abs(data), axis=1)
+    return np.linalg.svd(data, compute_uv=False)[:, 0]
 
-    An exactly Hermitian m has m - m* = 0, so its SVD is skipped. The
-    Hermitian part is rebuilt even then: the rebuild can flip the sign of a
-    zero entry, and eigvalsh's last bits depend on those signs.
+
+def _hermitian_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operator norm of m - m* and the Hermitian part 0.5 (m + m*), per row of
+    an (N, n, n) stack.
+
+    Rows with m - m* = 0 skip the SVD. Their Hermitian part is rebuilt even
+    then: the rebuild can flip the sign of a zero entry, and eigvalsh's last
+    bits depend on those signs.
     """
-    mh = m.conj().T
+    mh = m.conj().swapaxes(-1, -2)
     diff = m - mh
-    asym = _svd_norm(diff) if np.count_nonzero(diff) else 0.0
+    asym = np.zeros(len(m))
+    skewed = diff.any(axis=(1, 2))
+    if skewed.any():
+        asym[skewed] = np.linalg.svd(diff[skewed], compute_uv=False)[:, 0]
     return asym, 0.5 * (m + mh)
+
+
+def positive_rows(
+    kind: Kind, data: np.ndarray, tol: OrderTolerance | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The order cone over a stack: whether each row is self-adjoint within
+    eps with spectrum >= -eps, and each row's norm, from which the default
+    eps is taken."""
+    norms = norm_rows(kind, data)
+    eps = _resolve_eps(norms, tol)
+    if kind == "scalar":
+        return data >= -eps, norms
+    if kind == "vector":
+        return np.min(data, axis=1) >= -eps, norms
+    asym, hermitian_part = _hermitian_split(data)
+    lowest = np.linalg.eigvalsh(hermitian_part)[:, 0]
+    return (asym <= eps) & (lowest >= -eps), norms
 
 
 def max_asymmetry(a: AlgebraElement) -> float:
     """Operator norm of a - a*; zero for real scalars and vectors."""
     if a.kind != "matrix":
         return 0.0
-    return _hermitian_split(a.data)[0]
+    return float(_hermitian_split(a.data[None])[0][0])
 
 
 def is_self_adjoint(a: AlgebraElement, tol: OrderTolerance | None = None) -> bool:
-    return max_asymmetry(a) <= _resolve_eps(a, tol)
+    return max_asymmetry(a) <= _resolve_eps(norm(a), tol)
 
 
 def spectrum(a: AlgebraElement, tol: OrderTolerance | None = None) -> np.ndarray:
@@ -248,24 +285,17 @@ def spectrum(a: AlgebraElement, tol: OrderTolerance | None = None) -> np.ndarray
         return np.asarray([float(a.data)])
     if a.kind == "vector":
         return np.sort(np.asarray(a.data, dtype=float))
-    asym, hermitian_part = _hermitian_split(a.data)
+    asym, hermitian_part = _hermitian_split(a.data[None])
+    asym = float(asym[0])
     # eps >= 0, so an exactly Hermitian matrix needs no eps
-    if asym > 0.0 and asym > _resolve_eps(a, tol):
+    if asym > 0.0 and asym > _resolve_eps(norm(a), tol):
         raise NotSelfAdjointError(asym)
-    return np.linalg.eigvalsh(hermitian_part)
+    return np.linalg.eigvalsh(hermitian_part[0])
 
 
 def is_positive(a: AlgebraElement, tol: OrderTolerance | None = None) -> bool:
     """True iff a is self-adjoint within slack and its spectrum is >= -eps."""
-    eps = _resolve_eps(a, tol)
-    if a.kind == "scalar":
-        return float(a.data) >= -eps
-    if a.kind == "vector":
-        return float(np.min(a.data)) >= -eps
-    asym, hermitian_part = _hermitian_split(a.data)
-    if asym > eps:
-        return False
-    return float(np.linalg.eigvalsh(hermitian_part)[0]) >= -eps
+    return bool(positive_rows(a.kind, a.data[None], tol)[0][0])
 
 
 def leq(
@@ -281,15 +311,16 @@ def norm(a: AlgebraElement) -> float:
         return abs(float(a.data))
     if a.kind == "vector":
         return float(np.max(np.abs(a.data)))
-    return _svd_norm(a.data)
+    # Largest singular value: bit for bit what np.linalg.norm(a, 2) returns,
+    # without its axis-normalising wrapper.
+    return float(np.linalg.svd(a.data, compute_uv=False)[0])
 
 
 def sqrt_positive(
     a: AlgebraElement, tol: OrderTolerance | None = None
 ) -> AlgebraElement:
     """Positive square root of a positivity-certified element."""
-    eps = _resolve_eps(a, tol)
-    if not is_positive(a, OrderTolerance(eps)):
+    if not is_positive(a, tol):
         raise NotPositiveError(float(spectrum(a, OrderTolerance(np.inf))[0]))
     if a.kind == "scalar":
         return scalar(np.sqrt(max(float(a.data), 0.0)))

@@ -17,7 +17,15 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import AlgebraElement, OrderTolerance
-from .spaces import AxiomCheck, AxiomReport, Domain, ValuedDistance, first_failure, point_repr
+from .spaces import (
+    AxiomCheck,
+    AxiomReport,
+    Domain,
+    ValuedDistance,
+    chunked_values,
+    first_failure,
+    point_repr,
+)
 
 Family = Literal["plain", "graphic", "weak", "kannan", "reich", "chatterjea"]
 
@@ -162,13 +170,18 @@ def effective_rate(spec: ContractionSpec) -> float:
     return spec.k
 
 
-def _sample_positive(kind: alg.Kind, n: int, rng: np.random.Generator) -> AlgebraElement:
+def _sample_positive(kind: alg.Kind, n: int, rng: np.random.Generator, count: int) -> list:
+    """count random positive elements, drawn in the order of one-at-a-time draws."""
     if kind == "scalar":
-        return alg.scalar(abs(rng.normal()))
-    if kind == "vector":
-        return alg.vector(np.abs(rng.normal(size=n)))
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return alg.matrix((g @ g.conj().T) / n)
+        data = np.abs(rng.normal(size=count))
+    elif kind == "vector":
+        data = np.abs(rng.normal(size=(count, n)))
+    else:
+        parts = rng.normal(size=(count, 2, n, n))
+        g = parts[:, 0] + 1j * parts[:, 1]
+        data = (g @ g.conj().swapaxes(-1, -2)) / n
+    data.setflags(write=False)
+    return [alg._raw(kind, row) for row in data]
 
 
 def check_F_axioms(
@@ -193,49 +206,57 @@ def check_F_axioms(
 
     # boundary probes (a, theta, theta) sharpen dominance detection at
     # small positive first arguments, then random positive triples
-    triples = []
-    for _ in range(max(4, sample_count // 50)):
-        a = _sample_positive(kind, n, rng)
-        nrm = alg.norm(a)
-        if nrm > 0:
-            triples.append((alg.scale(0.5 / nrm, a), theta, theta))
-    while len(triples) < sample_count:
-        triples.append(tuple(_sample_positive(kind, n, rng) for _ in range(3)))
+    triples = [
+        (alg.scale(0.5 / nrm, a), theta, theta)
+        for a in _sample_positive(kind, n, rng, max(4, sample_count // 50))
+        if (nrm := alg.norm(a)) > 0
+    ]
+    fresh = _sample_positive(kind, n, rng, 3 * max(0, sample_count - len(triples)))
+    triples += zip(fresh[0::3], fresh[1::3], fresh[2::3])
 
-    def dominated(a, b, c):
-        out = F(a, b, c)
-        return alg.leq(a, out, tol) and alg.leq(b, out, tol), out
+    def dominated(items, kind, a, b, out):
+        ok, _ = alg.positive_rows(kind, np.concatenate([out - a, out - b]), tol)
+        return ok[: len(items)] & ok[len(items) :], out
 
     def inputs(triple):
         return {"points": {}, "inputs": [alg.element_to_dict(v) for v in triple]}
 
-    def vanishes(a, b, c):
-        out = F(a, b, c)
-        return alg.norm(out) <= alg._resolve_eps(out, tol), out
+    def vanishes(items, kind, out):
+        norms = alg.norm_rows(kind, out)
+        return norms <= alg._resolve_eps(norms, tol), out
 
-    report.checks.append(first_failure("dominance", triples, dominated, inputs))
     report.checks.append(
-        first_failure("zero-preservation", [(theta,) * 3], vanishes, lambda _: {"points": {}})
+        first_failure("dominance", triples, lambda a, b, c: (a, b, F(a, b, c)), dominated, inputs)
     )
+    report.checks.append(first_failure(
+        "zero-preservation", [(theta,) * 3], lambda a, b, c: (F(a, b, c),), vanishes,
+        lambda _: {"points": {}},
+    ))
 
     # empirical continuity modulus: output change per unit input change
     h = 1e-6
-    modulus = 0.0
-    finite = True
-    for a, b, c in triples[: min(100, len(triples))]:
-        da, db, dc = (alg.scale(h, _sample_positive(kind, n, rng)) for _ in range(3))
-        out0 = F(a, b, c)
-        out1 = F(alg.add(a, da), alg.add(b, db), alg.add(c, dc))
-        delta_in = max(alg.norm(da), alg.norm(db), alg.norm(dc))
-        if delta_in == 0:
-            continue
-        ratio = alg.norm(alg.sub(out1, out0)) / delta_in
-        if not np.isfinite(ratio):
-            finite = False
-            break
-        modulus = max(modulus, ratio)
-    check = AxiomCheck("continuity", "pass" if finite else "fail", min(100, len(triples)))
-    check.witness = None if finite else {"points": {}, "offending": alg.element_to_dict(out1)}
+    probed = triples[: min(100, len(triples))]
+    steps = [alg.scale(h, v) for v in _sample_positive(kind, n, rng, 3 * len(probed))]
+    outs = []
+    for i, (a, b, c) in enumerate(probed):
+        da, db, dc = steps[3 * i : 3 * i + 3]
+        outs += [F(a, b, c), F(alg.add(a, da), alg.add(b, db), alg.add(c, dc))]
+    modulus, failed = 0.0, None
+    if probed:
+        _, step = alg.stack(steps)
+        delta_in = alg.norm_rows(kind, step).reshape(len(probed), 3).max(axis=1)
+        _, out = alg.stack(outs)
+        delta_out = alg.norm_rows(kind, out[1::2] - out[0::2])
+        moved = np.flatnonzero(delta_in != 0)
+        ratio = delta_out[moved] / delta_in[moved]
+        bad = np.flatnonzero(~np.isfinite(ratio))
+        if bad.size:
+            failed = moved[bad[0]]
+            ratio = ratio[: bad[0]]
+        modulus = float(ratio.max(initial=0.0))
+    check = AxiomCheck("continuity", "pass" if failed is None else "fail", len(probed))
+    if failed is not None:
+        check.witness = {"points": {}, "offending": alg.element_to_dict(outs[2 * failed + 1])}
     report.checks.append(check)
     report.continuity_modulus = modulus
     return report
@@ -336,22 +357,27 @@ def sample_check(
     tol: OrderTolerance | None,
 ) -> VerificationResult:
     """Certify lhs <= rhs from sides(x, y) over the (x, y) samples, or stop at
-    the first counterexample (lowest sample index wins)."""
+    the first counterexample (lowest sample index wins). Samples are tested
+    in chunks of 1, 2, 4, ..., one stacked order-cone test per chunk."""
     max_slack = 0.0
     ce = None
-    for idx, (x, y) in enumerate(samples):
-        lhs, rhs = sides(x, y)
-        if not alg.leq(lhs, rhs, tol):
+    for start, chunk, kind, (lhs, rhs) in chunked_values(samples, lambda s: sides(*s)):
+        ok, slack = alg.positive_rows(kind, rhs - lhs, tol)
+        bad = np.flatnonzero(~ok)
+        stop = bad[0] if bad.size else len(chunk)
+        if stop:
+            max_slack = max(max_slack, float(slack[:stop].max()))
+        if bad.size:
+            x, y = chunk[stop]
             ce = {
-                "index": idx,
+                "index": start + int(stop),
                 "x": point_repr(x),
-                "lhs": alg.element_to_dict(lhs),
-                "rhs": alg.element_to_dict(rhs),
+                "lhs": alg.element_to_dict(alg._raw(kind, lhs[stop])),
+                "rhs": alg.element_to_dict(alg._raw(kind, rhs[stop])),
             }
             if y is not None:
                 ce["y"] = point_repr(y)
             break
-        max_slack = max(max_slack, alg.norm(alg.sub(rhs, lhs)))
     return VerificationResult(
         inequality=inequality,
         certified=ce is None,

@@ -7,8 +7,9 @@ no counterexample was found among N deterministic samples, never a proof.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -163,87 +164,129 @@ def _named_points(item: tuple) -> dict:
     return {"points": {k: point_repr(v) for k, v in zip("xyz", item)}}
 
 
+def chunked_values(items: Iterable, evaluate: Callable):
+    """(start, chunk, kind, columns) for consecutive chunks of 1, 2, 4, ...
+    items. evaluate(item) gives an item's tuple of algebra values, and
+    columns[j] is the row stack of the j-th value over the chunk.
+
+    Items are pulled lazily, so a failure at item 0 evaluates only item 0.
+    An error from evaluate ends its chunk before the item and is raised when
+    the next chunk is asked for: a failure earlier in the chunk comes first.
+    """
+    it = iter(items)
+    start, size = 0, 1
+    while True:
+        chunk, values, error = [], [], None
+        try:
+            for item in itertools.islice(it, size):
+                values.extend(evaluate(item))
+                chunk.append(item)
+        except Exception as exc:
+            error = exc
+        if chunk:
+            kind, data = alg.stack(values)
+            columns = data.reshape(len(chunk), -1, *data.shape[1:]).swapaxes(0, 1)
+            yield start, chunk, kind, columns
+        if error is not None:
+            raise error
+        if len(chunk) < size:
+            return
+        start += size
+        size *= 2
+
+
 def first_failure(
-    axiom: str, items: Sequence[tuple], predicate: Callable, describe=_named_points
+    axiom: str, items: Sequence[tuple], evaluate: Callable, test: Callable,
+    describe=_named_points,
 ) -> AxiomCheck:
-    """Verdict of one sampled axiom: a fail at the first item for which
-    predicate(*item) returns (False, offending), witnessed by describe(item)
-    and the offending element, or a pass over all items."""
-    for item in items:
-        ok, offending = predicate(*item)
-        if not ok:
-            witness = {**describe(item), "offending": alg.element_to_dict(offending)}
-            return AxiomCheck(axiom, "fail", len(items), witness)
+    """Verdict of one sampled axiom. evaluate(*item) gives an item's algebra
+    values; test(chunk, kind, *columns) maps a chunk of items and the row
+    stacks of their values to (ok per item, offending data per item). A fail
+    names the first failing item, witnessed by describe(item) and its
+    offending element; otherwise a pass over all items."""
+    for _, chunk, kind, columns in chunked_values(items, lambda item: evaluate(*item)):
+        ok, offending = test(chunk, kind, *columns)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            i = bad[0]
+            element = alg.element_to_dict(alg._raw(kind, offending[i]))
+            return AxiomCheck(axiom, "fail", len(items), {**describe(chunk[i]), "offending": element})
     return AxiomCheck(axiom, "pass", len(items))
 
 
 def _check_axioms(
     d: ValuedDistance, axioms: tuple, domain: Domain, sample_count: int, seed: int, tol
 ) -> list:
-    """Each (name, arity, predicate) in order, over cyclically consecutive
-    sampled points, pairs or triples."""
+    """Each (name, arity, terms, test) in order, over cyclically consecutive
+    sampled points, pairs or triples; terms are the (i, j) index pairs of the
+    distances d(item[i], item[j]) that test is given."""
     pts = sample_points(domain, sample_count, seed)
     n = len(pts)
     checks = []
-    for axiom, arity, predicate in axioms:
+    for axiom, arity, terms, test in axioms:
         items = [tuple(pts[(i + j) % n] for j in range(arity)) for i in range(n)]
-        checks.append(first_failure(axiom, items, functools.partial(predicate, d, tol)))
+
+        def evaluate(*item, terms=terms):
+            return tuple(d(item[i], item[j]) for i, j in terms)
+
+        checks.append(first_failure(axiom, items, evaluate, functools.partial(test, tol)))
     return checks
 
 
-def _nonnegative(d, tol, x, y):
-    v = d(x, y)
-    return alg.is_positive(v, tol), v
+def _below(tol, kind, low, high):
+    diff = high - low
+    return alg.positive_rows(kind, diff, tol)[0], diff
 
 
-def _symmetric(d, tol, x, y):
-    dxy = d(x, y)
-    diff = alg.sub(dxy, d(y, x))
-    return alg.norm(diff) <= alg._resolve_eps(dxy, tol), diff
+def _nonnegative(tol, items, kind, dxy):
+    return alg.positive_rows(kind, dxy, tol)[0], dxy
 
 
-def _triangle(d, tol, x, y, z, self_term: bool = False):
-    rhs = alg.add(d(x, z), d(z, y))
-    if self_term:  # the partial triangle is corrected by the middle self-distance
-        rhs = alg.sub(rhs, d(z, z))
-    dxy = d(x, y)
-    return alg.leq(dxy, rhs, tol), alg.sub(rhs, dxy)
+def _symmetric(tol, items, kind, dxy, dyx):
+    diff = dxy - dyx
+    return alg.norm_rows(kind, diff) <= alg._resolve_eps(alg.norm_rows(kind, dxy), tol), diff
 
 
-def _indistinguishable(p, tol, x, y):
+def _triangle(tol, items, kind, dxz, dzy, dxy):
+    return _below(tol, kind, dxy, dxz + dzy)
+
+
+def _partial_triangle(tol, items, kind, dxz, dzy, dzz, dxy):
+    # the partial triangle is corrected by the middle self-distance
+    return _below(tol, kind, dxy, dxz + dzy - dzz)
+
+
+def _indistinguishable(tol, items, kind, pxx, pyy, pxy):
     # converse direction: p(x,x) = p(y,y) = p(x,y) forces x = y
-    pxx, pyy, pxy = p(x, x), p(y, y), p(x, y)
-    eps = alg._resolve_eps(pxy, tol)
-    coincide = (
-        alg.norm(alg.sub(pxx, pxy)) <= eps and alg.norm(alg.sub(pyy, pxy)) <= eps
-    )
-    same_point = float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) <= 1e-9
-    return (not coincide) or same_point, alg.sub(pxy, pxx)
+    eps = alg._resolve_eps(alg.norm_rows(kind, pxy), tol)
+    coincide = (alg.norm_rows(kind, pxx - pxy) <= eps) & (alg.norm_rows(kind, pyy - pxy) <= eps)
+    xs, ys = (np.array(pts, dtype=float).reshape(len(items), -1) for pts in zip(*items))
+    same_point = np.max(np.abs(xs - ys), axis=1) <= 1e-9
+    return ~coincide | same_point, pxy - pxx
 
 
-def _small_self(p, tol, x, y):
-    pxx, pxy = p(x, x), p(x, y)
-    return alg.leq(pxx, pxy, tol), alg.sub(pxy, pxx)
+def _small_self(tol, items, kind, pxx, pxy):
+    return _below(tol, kind, pxx, pxy)
 
 
-def _self_zero(d, tol, x):
-    v = d(x, x)
-    return alg.norm(v) <= alg._resolve_eps(v, tol), v
+def _self_zero(tol, items, kind, v):
+    norms = alg.norm_rows(kind, v)
+    return norms <= alg._resolve_eps(norms, tol), v
 
 
 _PARTIAL_AXIOMS = (
-    ("nonnegativity", 2, _nonnegative),
-    ("indistinguishability", 2, _indistinguishable),
-    ("symmetry", 2, _symmetric),
-    ("self-distance", 2, _small_self),
-    ("triangle", 3, functools.partial(_triangle, self_term=True)),
+    ("nonnegativity", 2, ((0, 1),), _nonnegative),
+    ("indistinguishability", 2, ((0, 0), (1, 1), (0, 1)), _indistinguishable),
+    ("symmetry", 2, ((0, 1), (1, 0)), _symmetric),
+    ("self-distance", 2, ((0, 0), (0, 1)), _small_self),
+    ("triangle", 3, ((0, 2), (2, 1), (2, 2), (0, 1)), _partial_triangle),
 )
 
 _METRIC_AXIOMS = (
-    ("nonnegativity", 2, _nonnegative),
-    ("self-distance-zero", 1, _self_zero),
-    ("symmetry", 2, _symmetric),
-    ("triangle", 3, _triangle),
+    ("nonnegativity", 2, ((0, 1),), _nonnegative),
+    ("self-distance-zero", 1, ((0, 0),), _self_zero),
+    ("symmetry", 2, ((0, 1), (1, 0)), _symmetric),
+    ("triangle", 3, ((0, 2), (2, 1), (0, 1)), _triangle),
 )
 
 

@@ -274,22 +274,31 @@ def _hermitian(rng, n, scale):
     return m
 
 
+def _matrix_case(draw, rng, n, scale, case):
+    """Matrix data of one edge case: exactly Hermitian, Hermitian plus an
+    asymmetry just below or just above the default eps, or general."""
+    if case == "general":
+        return _entries(rng, (n, n), scale) + 1j * _entries(rng, (n, n), scale)
+    data = _hermitian(rng, n, scale)
+    if case in ("below_eps", "above_eps") and n > 1:
+        # add an asymmetry of norm just below or just above the default eps
+        g = np.triu(np.ones((n, n)), 1) * (1 + 1j)
+        target = 1e-9 * max(1.0, _ref_norm(alg.matrix(data)))
+        target *= draw(st.floats(0.9, 0.999) if case == "below_eps" else st.floats(1.001, 1.1))
+        data = data + g * (target / float(np.linalg.norm(g - g.conj().T, 2)))
+    return data
+
+
+_CASES = ["hermitian", "below_eps", "above_eps", "general"]
+
+
 @st.composite
 def _order_operand(draw):
     n = draw(st.sampled_from([1, 2, 8]))
     scale = 10.0 ** draw(st.floats(-12, 6))
-    kind = draw(st.sampled_from(["hermitian", "below_eps", "above_eps", "general"]))
+    case = draw(st.sampled_from(_CASES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "general":
-        data = _entries(rng, (n, n), scale) + 1j * _entries(rng, (n, n), scale)
-    else:
-        data = _hermitian(rng, n, scale)
-    if kind in ("below_eps", "above_eps") and n > 1:
-        # add an asymmetry of norm just below or just above the default eps
-        g = np.triu(np.ones((n, n)), 1) * (1 + 1j)
-        target = 1e-9 * max(1.0, _ref_norm(alg.matrix(data)))
-        target *= draw(st.floats(0.9, 0.999) if kind == "below_eps" else st.floats(1.001, 1.1))
-        data = data + g * (target / float(np.linalg.norm(g - g.conj().T, 2)))
+    data = _matrix_case(draw, rng, n, scale, case)
     a = alg.matrix(data)
     tol = draw(st.one_of(
         st.none(),
@@ -324,3 +333,92 @@ def test_matrix_order_cone_matches_svd_reference(operand, other):
     assert alg.leq(alg.zero("matrix", a.n), a, tol) == _ref_is_positive(
         alg.sub(a, alg.zero("matrix", a.n)), tol
     )
+
+
+# One-element-at-a-time reference for the stacked order cone. Matrix rows use
+# the SVD reference above; scalar and vector rows restate the cone rule.
+
+
+def _ref_row(kind, row, tol):
+    """(positive, norm) of one stack row, computed on its own."""
+    if kind == "matrix":
+        a = alg.matrix(row)
+        return _ref_is_positive(a, tol), _ref_norm(a)
+    if kind == "scalar":
+        value = float(row)
+        nrm, lowest = abs(value), value
+    else:
+        nrm, lowest = float(np.max(np.abs(row))), float(np.min(row))
+    eps = 1e-9 * max(1.0, nrm) if tol is None else tol.eps
+    return lowest >= -eps, nrm
+
+
+def _near_cone_edge(x, factor):
+    """x with its least entry moved to factor times minus the default eps."""
+    x = np.array(x, dtype=float)
+    flat = x.reshape(-1)
+    i = int(np.argmin(flat))
+    rest = np.delete(flat, i)
+    # the norm after the move is the largest of the rest or the moved entry
+    scale = max(1.0, float(np.max(np.abs(rest))) if rest.size else 0.0)
+    flat[i] = -factor * 1e-9 * scale
+    return x
+
+
+@st.composite
+def _stack_operand(draw):
+    kind = draw(st.sampled_from(["scalar", "vector", "matrix"]))
+    n = 1 if kind == "scalar" else draw(st.sampled_from([1, 2, 8]))
+    rows = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.floats(-12, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = []
+    for _ in range(rows):
+        case = draw(st.sampled_from(_CASES))
+        if kind == "matrix":
+            row = _matrix_case(draw, rng, n, scale, case)
+        else:
+            row = _entries(rng, (n,), scale)
+            if case in ("below_eps", "above_eps"):
+                factor = draw(st.floats(0.9, 0.999) if case == "below_eps" else st.floats(1.001, 1.1))
+                row = _near_cone_edge(row, factor)
+        data.append(row[0] if kind == "scalar" else row)
+    elements = [alg.AlgebraElement(kind, row) for row in data]
+    tol = draw(st.one_of(
+        st.none(),
+        st.just(OrderTolerance(0.0)),
+        st.builds(OrderTolerance, st.sampled_from([
+            _ref_max_asymmetry(elements[0]) if kind == "matrix" else abs(float(np.min(data[0]))),
+            1e-9 * scale, 1e-6 * scale,
+        ])),
+    ))
+    return kind, elements, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stack_operand())
+def test_stacked_order_cone_matches_row_reference(operand):
+    kind, elements, tol = operand
+    stacked_kind, data = alg.stack(elements)
+    assert stacked_kind == kind and len(data) == len(elements)
+    ok, norms = alg.positive_rows(kind, data, tol)
+    assert _same_bits(norms, alg.norm_rows(kind, data))
+    for row, a, positive, nrm in zip(data, elements, ok.tolist(), norms):
+        expected_positive, expected_norm = _ref_row(kind, row, tol)
+        assert positive == expected_positive == alg.is_positive(a, tol)
+        assert _same_bits(nrm, np.float64(expected_norm))
+        assert _same_bits(float(nrm), alg.norm(a))
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        [alg.scalar(1.0), alg.vector([1.0])],
+        [alg.vector([1.0, 2.0]), alg.vector([1.0, 2.0, 3.0])],
+        [alg.matrix(np.eye(2)), alg.matrix(np.eye(3))],
+        [alg.matrix(np.eye(1)), alg.vector([1.0])],
+    ],
+)
+def test_stack_of_mixed_kinds_or_sizes_raises(elements):
+    with pytest.raises(DimensionMismatchError):
+        alg.stack(elements)

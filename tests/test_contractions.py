@@ -12,13 +12,14 @@ from cstarfix.contractions import (
     check_F_axioms,
     effective_rate,
     inequality_sides,
+    sample_check,
     square_first_combiner,
     sum_combiner,
     verify_contraction,
     zero_phi,
 )
 from cstarfix.registry import get_operator, get_phi, get_space
-from cstarfix.spaces import Interval, ValuedDistance
+from cstarfix.spaces import Interval, ValuedDistance, point_repr
 
 
 class TestSpecValidation:
@@ -254,6 +255,76 @@ class TestVerifyContraction:
             seed=1,
         )
         assert result.certified
+
+
+# Distances of each kind that scale one fixed positive value by |x - y|.
+_SCALED = {
+    "scalar": lambda t: alg.scalar(t),
+    "vector": lambda t: alg.vector([t, 2.0 * t]),
+    "matrix": lambda t: alg.matrix(t * np.array([[2.0, 1j], [-1j, 1.0]])),
+}
+
+
+def _reference_check(samples, sides, tol=None):
+    """Per-sample certify loop: (max slack norm, first counterexample)."""
+    max_slack = 0.0
+    for idx, (x, y) in enumerate(samples):
+        lhs, rhs = sides(x, y)
+        if not alg.leq(lhs, rhs, tol):
+            ce = {"index": idx, "x": point_repr(x), "lhs": alg.element_to_dict(lhs),
+                  "rhs": alg.element_to_dict(rhs), "y": point_repr(y)}
+            return max_slack, ce
+        max_slack = max(max_slack, alg.norm(alg.sub(rhs, lhs)))
+    return max_slack, None
+
+
+class TestSampleCheckChunks:
+    @pytest.mark.parametrize("kind", sorted(_SCALED))
+    @pytest.mark.parametrize("first", [0, 1, 3, 5, 37])
+    def test_first_failure_matches_per_sample_loop(self, kind, first):
+        # T halves [0, 1) and doubles [10, 11): pairs from [10, 11) break the
+        # plain contraction, the first of them at index first
+        calls = []
+
+        def t(x):
+            calls.append(x)
+            return 0.5 * x if x < 10 else 2.0 * x
+
+        T = OperatorSpec(t, "counted")
+        scaled = _SCALED[kind]
+        d = ValuedDistance(kind, 2 if kind != "scalar" else 1,
+                           lambda x, y: scaled(abs(x - y)), "metric")
+        spec = ContractionSpec("plain", k=0.6)
+        rng = np.random.default_rng(first)
+        failing = {first, first + 1, first + 3, first + 40}
+        samples = [tuple(rng.uniform(10.0, 11.0, 2) if i in failing else rng.uniform(0.0, 1.0, 2))
+                   for i in range(100)]
+
+        def sides(x, y):
+            return inequality_sides(spec, T, d, zero_phi(kind, d.n), sum_combiner(), x, y)
+
+        result = sample_check("plain", spec, iter(samples), sides, len(samples), 0, None)
+        evaluated = len(calls) // 2
+        ref_slack, ref_ce = _reference_check(samples, sides)
+        assert result.counterexample == ref_ce
+        assert result.counterexample["index"] == first
+        assert result.max_slack_norm.hex() == ref_slack.hex()
+        assert evaluated <= 2 * first + 1
+
+    @pytest.mark.parametrize("kind", sorted(_SCALED))
+    def test_certified_slack_matches_per_sample_loop(self, kind):
+        scaled = _SCALED[kind]
+        rng = np.random.default_rng(5)
+        samples = [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(77)]
+
+        def sides(x, y):
+            return scaled(0.5 * abs(x - y)), scaled(abs(x - y) + x)
+
+        result = sample_check("plain", ContractionSpec("plain", k=0.5), iter(samples), sides,
+                              len(samples), 0, None)
+        ref_slack, ref_ce = _reference_check(samples, sides)
+        assert result.certified and ref_ce is None
+        assert result.max_slack_norm.hex() == ref_slack.hex()
 
 
 class TestStepInequality:

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from cstarfix import algebra as alg
+from cstarfix import spaces
 from cstarfix.registry import get_space
 from cstarfix.spaces import (
     Box,
@@ -210,3 +213,88 @@ class TestSequenceProbes:
             yn = y - 2.0 ** (-n)
             seen = alg.sub(p(xn, yn), p(xn, xn))
             assert alg.norm(alg.sub(seen, target)) <= 1e-10
+
+
+# Chunked axiom loop against a per-item loop. Items from [10, 11) get a
+# distance that is negative (nonnegativity) or lopsided (symmetry).
+
+_MATRIX = np.array([[2.0, 1j], [-1j, 1.0]])
+
+
+def _counted_distance(kind, axiom, calls):
+    def value(t):
+        if kind == "scalar":
+            return alg.scalar(t)
+        if kind == "vector":
+            return alg.vector([t, 2.0 * t])
+        return alg.matrix(t * _MATRIX)
+
+    def fn(x, y):
+        calls.append((x, y))
+        t = abs(x - y)
+        if min(x, y) >= 10:
+            t = -t if axiom == "nonnegativity" else t + (x > y)
+        return value(t)
+
+    return fn
+
+
+def _reference_axiom(axiom, d, items, tol=None):
+    """Per-item loop of the old predicates: the witness dict or None."""
+    for x, y in items:
+        if axiom == "nonnegativity":
+            v = d(x, y)
+            ok, offending = alg.is_positive(v, tol), v
+        else:
+            dxy = d(x, y)
+            offending = alg.sub(dxy, d(y, x))
+            ok = alg.norm(offending) <= 1e-9 * max(1.0, alg.norm(dxy))
+        if not ok:
+            return {"points": {"x": float(x), "y": float(y)},
+                    "offending": alg.element_to_dict(offending)}
+    return None
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("axiom", ["nonnegativity", "symmetry"])
+@pytest.mark.parametrize("first", [0, 1, 3, 5, 37])
+def test_first_failure_chunks_match_per_item_loop(kind, axiom, first):
+    calls = []
+    d = ValuedDistance(kind, 1 if kind == "scalar" else 2, _counted_distance(kind, axiom, calls),
+                       "metric")
+    terms, test = {name: (terms, test) for name, _, terms, test in spaces._METRIC_AXIOMS}[axiom]
+    rng = np.random.default_rng(first)
+    failing = {first, first + 2, first + 3}
+    items = [tuple(float(v) for v in rng.uniform(*((10.0, 11.0) if i in failing else (0.0, 1.0)), 2))
+             for i in range(90)]
+
+    def evaluate(*item):
+        return tuple(d(item[i], item[j]) for i, j in terms)
+
+    check = spaces.first_failure(axiom, items, evaluate, functools.partial(test, None))
+    evaluated = len(calls) // len(terms)
+    calls.clear()
+    expected = _reference_axiom(axiom, d, items)
+    assert check.verdict == "fail" and check.samples == len(items)
+    assert check.witness == expected
+    assert check.witness["points"]["x"] == items[first][0]
+    assert evaluated <= 2 * first + 1
+
+
+def _raises_at(bad_index):
+    def evaluate(x, y):
+        if x == bad_index:
+            raise ArithmeticError("distance blew up")
+        return (alg.scalar(-1.0 if x in (3, 5) else 1.0),)
+
+    return evaluate
+
+
+def test_error_later_in_a_chunk_does_not_hide_an_earlier_failure():
+    # items 3..6 form one chunk: the failure at 3 wins over the error at 4
+    items = [(float(i), 0.0) for i in range(10)]
+    test = functools.partial(spaces._nonnegative, None)
+    check = spaces.first_failure("nonnegativity", items, _raises_at(4), test)
+    assert check.witness["points"]["x"] == 3.0
+    with pytest.raises(ArithmeticError):
+        spaces.first_failure("nonnegativity", items, _raises_at(2), test)
