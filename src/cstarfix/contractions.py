@@ -1,17 +1,19 @@
 """Contraction families and their sampled verification.
 
-Six families are supported: the plain combined contraction, its graphic
-(orbit-only) variant, the weak variant with a relaxation term, and the
-Kannan, Reich, and Chatterjea forms. A verification run either certifies
-the family inequality over a seeded sample or returns the first
-counterexample; runs are deterministic given (seed, sample_count).
+Each of the six families is one row of FAMILIES: its constant check, its
+orbit rate, and its right side, written once over the term and relaxed
+callables of a mode (the metric mode here, the partial mode in partial.py).
+A verification run either certifies the family inequality over a seeded
+sample or returns the first counterexample; runs are deterministic given
+(seed, sample_count).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,13 +29,12 @@ from .spaces import (
     point_repr,
 )
 
-Family = Literal["plain", "graphic", "weak", "kannan", "reich", "chatterjea"]
-
 __all__ = [
     "FFunction",
     "PhiFunction",
     "OperatorSpec",
     "ContractionSpec",
+    "FAMILIES",
     "InvalidSpecError",
     "VerificationResult",
     "sum_combiner",
@@ -99,35 +100,16 @@ def zero_phi(kind: alg.Kind, n: int = 1) -> PhiFunction:
 
 @dataclass(frozen=True)
 class ContractionSpec:
-    family: Family
+    family: str
     k: Optional[float] = None
     alpha: Optional[float] = None
     beta: Optional[float] = None
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        f = self.family
-        if f in ("plain", "graphic"):
-            if self.k is None or not 0 < self.k < 1:
-                raise InvalidSpecError(f"{f} requires k in (0,1), got {self.k}")
-        elif f == "weak":
-            if self.k is None or not 0 < self.k < 1:
-                raise InvalidSpecError(f"weak requires k in (0,1), got {self.k}")
-            if self.alpha is None or self.alpha < 0:
-                raise InvalidSpecError(f"weak requires alpha >= 0, got {self.alpha}")
-        elif f in ("kannan", "chatterjea"):
-            if self.k is None or not 0 < self.k < 0.5:
-                raise InvalidSpecError(f"{f} requires k in (0,1/2), got {self.k}")
-        elif f == "reich":
-            a, b, g = self.alpha, self.beta, self.gamma
-            if a is None or b is None or g is None or min(a, b, g) < 0:
-                raise InvalidSpecError("reich requires alpha, beta, gamma >= 0")
-            if a + b + g >= 1:
-                raise InvalidSpecError(
-                    f"reich requires alpha+beta+gamma < 1, got {a + b + g}"
-                )
-        else:
-            raise InvalidSpecError(f"unknown family {f!r}")
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
+            raise InvalidSpecError(f"unknown family {self.family!r}")
+        FAMILIES[self.family].check(self)
 
     def to_dict(self) -> dict:
         d = {"family": self.family}
@@ -151,23 +133,82 @@ class ContractionSpec:
         )
 
 
-def effective_rate(spec: ContractionSpec) -> float:
-    """Per-step geometric factor implied by the family constants.
+def _k_below(s: ContractionSpec, upper: float, shown: str) -> None:
+    if s.k is None or not 0 < s.k < upper:
+        raise InvalidSpecError(f"{s.family} requires k in (0,{shown}), got {s.k}")
 
-    s_n is the step value at (x_n, x_{n+1}) on the orbit x_{n+1} = T x_n; each
-    family's inequality at (x, y) = (x_n, x_{n+1}) gives:
-    plain, graphic, weak (whose relaxation term vanishes at y = Tx): s_{n+1} <= k s_n.
-    kannan: s_{n+1} <= k (s_n + s_{n+1}), rate k / (1 - k).
-    reich: at (x, y) = (x_{n+1}, x_n), s_{n+1} <= (alpha + gamma) s_n + beta s_{n+1},
-    rate (alpha + gamma) / (1 - beta).
-    chatterjea: d(y, Tx) vanishes and d(x, Ty) <= s_n + s_{n+1} by the triangle
-    inequality, so s_{n+1} <= k (s_n + s_{n+1}), rate k / (1 - k).
-    """
-    if spec.family in ("kannan", "chatterjea"):
-        return spec.k / (1.0 - spec.k)
-    if spec.family == "reich":
-        return (spec.alpha + spec.gamma) / (1.0 - spec.beta)
-    return spec.k
+
+def _k_and_alpha(s: ContractionSpec) -> None:
+    _k_below(s, 1, "1")
+    if s.alpha is None or s.alpha < 0:
+        raise InvalidSpecError(f"{s.family} requires alpha >= 0, got {s.alpha}")
+
+
+def _three_weights(s: ContractionSpec) -> None:
+    a, b, g = s.alpha, s.beta, s.gamma
+    if a is None or b is None or g is None or min(a, b, g) < 0:
+        raise InvalidSpecError(f"{s.family} requires alpha, beta, gamma >= 0")
+    if a + b + g >= 1:
+        raise InvalidSpecError(f"{s.family} requires alpha+beta+gamma < 1, got {a + b + g}")
+
+
+class FamilyRule(NamedTuple):
+    check: Callable[[ContractionSpec], None]  # raises InvalidSpecError on bad constants
+    rate: Callable[[ContractionSpec], float]  # per-step geometric factor of an orbit
+    rhs: Callable[..., AlgebraElement]  # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed
+    single_point: bool = False  # sampled at points x, not pairs (x, y)
+    stratified: bool = False  # half of the samples put y near T(x)
+    partial_rhs: Optional[Callable[..., AlgebraElement]] = None  # rhs in partial mode
+
+
+# Rates: s_n is the step value at (x_n, x_{n+1}) on the orbit x_{n+1} = T x_n,
+# bounded through the inequality at (x, y) = (x_n, x_{n+1}). Sums keep the grouping
+# k (A + B) and (aA + bB) + cC, terms their argument order: both fix the float sides.
+_PLAIN = FamilyRule(
+    lambda s: _k_below(s, 1, "1"),
+    rate=lambda s: s.k,  # s_{n+1} <= k s_n
+    rhs=lambda s, t, r, x, y, Tx, Ty: alg.scale(s.k, t(x, y)),
+)
+FAMILIES: dict[str, FamilyRule] = {
+    "plain": _PLAIN,
+    "graphic": _PLAIN._replace(single_point=True),  # plain at the orbit pair (x, y) = (Tx, x)
+    "weak": FamilyRule(
+        _k_and_alpha,
+        rate=lambda s: s.k,  # the relaxation term vanishes at y = Tx: s_{n+1} <= k s_n
+        rhs=lambda s, t, r, x, y, Tx, Ty: alg.add(
+            alg.scale(s.k, t(x, y)), alg.scale(s.alpha, r(y, Tx))
+        ),
+        stratified=True,  # the inequality binds near y = Tx
+    ),
+    "kannan": FamilyRule(
+        lambda s: _k_below(s, 0.5, "1/2"),
+        rate=lambda s: s.k / (1.0 - s.k),  # s_{n+1} <= k (s_n + s_{n+1})
+        rhs=lambda s, t, r, x, y, Tx, Ty: alg.scale(s.k, alg.add(t(Tx, x), t(Ty, y))),
+    ),
+    "reich": FamilyRule(
+        _three_weights,
+        # at (x, y) = (x_{n+1}, x_n): s_{n+1} <= (alpha + gamma) s_n + beta s_{n+1}
+        rate=lambda s: (s.alpha + s.gamma) / (1.0 - s.beta),
+        rhs=lambda s, t, r, x, y, Tx, Ty: alg.add(
+            alg.add(alg.scale(s.alpha, t(x, y)), alg.scale(s.beta, t(x, Tx))),
+            alg.scale(s.gamma, t(y, Ty)),
+        ),
+    ),
+    "chatterjea": FamilyRule(
+        lambda s: _k_below(s, 0.5, "1/2"),
+        # d(y, Tx) = 0 and d(x, Ty) <= s_n + s_{n+1}: s_{n+1} <= k (s_n + s_{n+1})
+        rate=lambda s: s.k / (1.0 - s.k),
+        rhs=lambda s, t, r, x, y, Tx, Ty: alg.scale(s.k, alg.add(r(x, Ty), t(y, Tx))),
+        # p(x, Ty) unrelaxed: not the reduced metric form (a FOUND line in CHANGES.md)
+        partial_rhs=lambda s, t, r, x, y, Tx, Ty: alg.scale(s.k, alg.add(t(x, Ty), t(y, Tx))),
+    ),
+}
+
+
+def effective_rate(spec: ContractionSpec) -> float:
+    """Per-step geometric factor implied by the family constants (the rate
+    of the family's row in FAMILIES)."""
+    return FAMILIES[spec.family].rate(spec)
 
 
 def _sample_positive(kind: alg.Kind, n: int, rng: np.random.Generator, count: int) -> list:
@@ -288,6 +329,18 @@ class VerificationResult:
         return d
 
 
+def family_sides(spec: ContractionSpec, T: OperatorSpec, term, relaxed, x, y,
+                 partial: bool = False) -> tuple[AlgebraElement, AlgebraElement]:
+    """Both sides of the family inequality in the mode given by term(u, v) and
+    relaxed(u, v). The left side is term(Tx, Ty); a single-point family is
+    evaluated at the orbit pair (x, y) = (Tx, x), so T runs on x and Tx."""
+    rule = FAMILIES[spec.family]
+    Tx = T(x)
+    x, y, Tx, Ty = (Tx, x, T(Tx), Tx) if rule.single_point else (x, y, Tx, T(y))
+    rhs = rule.partial_rhs if partial and rule.partial_rhs else rule.rhs
+    return term(Tx, Ty), rhs(spec, term, relaxed, x, y, Tx, Ty)
+
+
 def inequality_sides(
     spec: ContractionSpec,
     T: OperatorSpec,
@@ -297,51 +350,21 @@ def inequality_sides(
     x,
     y=None,
 ) -> tuple[AlgebraElement, AlgebraElement]:
-    """Both sides of the family inequality at a sampled point or pair."""
-    theta = alg.zero(d.kind, d.n)
-    fam = spec.family
-    if fam == "graphic":
-        Tx = T(x)
-        TTx = T(Tx)
-        lhs = F(d(TTx, Tx), phi(TTx), phi(Tx))
-        rhs = alg.scale(spec.k, F(d(Tx, x), phi(Tx), phi(x)))
-        return lhs, rhs
-    Tx, Ty = T(x), T(y)
-    lhs = F(d(Tx, Ty), phi(Tx), phi(Ty))
-    if fam == "plain":
-        rhs = alg.scale(spec.k, F(d(x, y), phi(x), phi(y)))
-    elif fam == "weak":
-        relax = alg.sub(F(d(y, Tx), phi(y), phi(Tx)), F(theta, phi(y), phi(Tx)))
-        rhs = alg.add(
-            alg.scale(spec.k, F(d(x, y), phi(x), phi(y))), alg.scale(spec.alpha, relax)
-        )
-    elif fam == "kannan":
-        rhs = alg.scale(
-            spec.k, alg.add(F(d(Tx, x), phi(Tx), phi(x)), F(d(Ty, y), phi(Ty), phi(y)))
-        )
-    elif fam == "reich":
-        rhs = alg.add(
-            alg.add(
-                alg.scale(spec.alpha, F(d(x, y), phi(x), phi(y))),
-                alg.scale(spec.beta, F(d(x, Tx), phi(x), phi(Tx))),
-            ),
-            alg.scale(spec.gamma, F(d(y, Ty), phi(y), phi(Ty))),
-        )
-    elif fam == "chatterjea":
-        rhs = alg.scale(
-            spec.k,
-            alg.add(
-                alg.sub(F(d(x, Ty), phi(x), phi(Ty)), F(theta, phi(x), phi(Ty))),
-                F(d(y, Tx), phi(y), phi(Tx)),
-            ),
-        )
-    else:
-        raise InvalidSpecError(f"unknown family {fam!r}")
-    return lhs, rhs
+    """Both sides of the family inequality at a sampled point or pair; term is
+    F(d(u, v), phi(u), phi(v)) and relaxed subtracts F(theta, phi(u), phi(v))."""
+
+    def term(u, v):
+        return F(d(u, v), phi(u), phi(v))
+
+    def relaxed(u, v):
+        return alg.sub(term(u, v), F(alg.zero(d.kind, d.n), phi(u), phi(v)))
+
+    return family_sides(spec, T, term, relaxed, x, y)
 
 
-def uniform_samples(domain: Domain, count: int, rng: np.random.Generator, single_point: bool):
+def uniform_samples(domain: Domain, count: int, rng: np.random.Generator, spec: ContractionSpec):
     """Lazy stream of count (x, y) domain samples; y is None for single-point families."""
+    single_point = FAMILIES[spec.family].single_point
     for _ in range(count):
         x = domain.sample(rng)
         yield x, (None if single_point else domain.sample(rng))
@@ -403,24 +426,18 @@ def verify_contraction(
     """Certify the family inequality over a seeded sample, or produce the
     first counterexample (lowest sample index wins)."""
     rng = np.random.default_rng(seed)
-    n_uniform = sample_count
-    if spec.family == "weak":
-        # stratify: the relaxation term vanishes near y = Tx, which is
-        # where the inequality binds
-        n_uniform = sample_count - sample_count // 2
+    rule = FAMILIES[spec.family]
+    n_uniform = sample_count - sample_count // 2 if rule.stratified else sample_count
     samples = itertools.chain(
-        uniform_samples(domain, n_uniform, rng, spec.family == "graphic"),
+        uniform_samples(domain, n_uniform, rng, spec),
         _jittered_pairs(T, domain, sample_count - n_uniform, rng),
     )
-
-    def sides(x, y):
-        return inequality_sides(spec, T, d, phi, F, x, y)
-
+    sides = functools.partial(inequality_sides, spec, T, d, phi, F)
     return sample_check(spec.family, spec, samples, sides, sample_count, seed, tol)
 
 
 def _jittered_pairs(T: OperatorSpec, domain: Domain, count: int, rng: np.random.Generator):
-    """Pairs (x, y) with y a domain point near T(x), for stratified weak-family sampling."""
+    """Pairs (x, y) with y a domain point near T(x), for stratified sampling."""
     for _ in range(count):
         x = domain.sample(rng)
         t = np.asarray(T(x), dtype=float)

@@ -9,6 +9,7 @@ per-sample identity ties the two views together.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .contractions import (
     OperatorSpec,
     PhiFunction,
     VerificationResult,
+    family_sides,
     sample_check,
     sum_combiner,
     uniform_samples,
@@ -60,31 +62,14 @@ def reduce_problem(
 def corollary_sides(
     problem: PartialProblem, x, y=None
 ) -> tuple[AlgebraElement, AlgebraElement]:
-    """Both sides of the corollary inequality, stated directly in p."""
-    p, T, spec = problem.p, problem.T, problem.spec
-    fam = spec.family
-    if fam == "graphic":
-        Tx = T(x)
-        return p(T(Tx), Tx), alg.scale(spec.k, p(Tx, x))
-    Tx, Ty = T(x), T(y)
-    lhs = p(Tx, Ty)
-    if fam == "plain":
-        rhs = alg.scale(spec.k, p(x, y))
-    elif fam == "weak":
-        relax = alg.sub(p(y, Tx), alg.scale(0.5, alg.add(p(y, y), p(Tx, Tx))))
-        rhs = alg.add(alg.scale(spec.k, p(x, y)), alg.scale(spec.alpha, relax))
-    elif fam == "kannan":
-        rhs = alg.scale(spec.k, alg.add(p(x, Tx), p(y, Ty)))
-    elif fam == "reich":
-        rhs = alg.add(
-            alg.add(alg.scale(spec.alpha, p(x, y)), alg.scale(spec.beta, p(x, Tx))),
-            alg.scale(spec.gamma, p(y, Ty)),
-        )
-    elif fam == "chatterjea":
-        rhs = alg.scale(spec.k, alg.add(p(x, Ty), p(y, Tx)))
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    return lhs, rhs
+    """Both sides of the corollary inequality, stated directly in p: term is
+    p itself and relaxed(u, v) = p(u, v) - (p(u, u) + p(v, v)) / 2."""
+    p = problem.p
+
+    def relaxed(u, v):
+        return alg.sub(p(u, v), alg.scale(0.5, alg.add(p(u, u), p(v, v))))
+
+    return family_sides(problem.spec, problem.T, p, relaxed, x, y, partial=True)
 
 
 def verify_corollary_hypothesis(
@@ -96,11 +81,8 @@ def verify_corollary_hypothesis(
 ) -> VerificationResult:
     """Sample the corollary inequality in p; certificate or first counterexample."""
     rng = np.random.default_rng(seed)
-    samples = uniform_samples(domain, sample_count, rng, problem.spec.family == "graphic")
-
-    def sides(x, y):
-        return corollary_sides(problem, x, y)
-
+    samples = uniform_samples(domain, sample_count, rng, problem.spec)
+    sides = functools.partial(corollary_sides, problem)
     return sample_check(
         f"partial-{problem.spec.family}", problem.spec, samples, sides, sample_count, seed, tol
     )

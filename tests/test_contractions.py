@@ -1,10 +1,15 @@
+import functools
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarfix import algebra as alg
 from cstarfix.contractions import (
+    FAMILIES,
     ContractionSpec,
     InvalidSpecError,
     OperatorSpec,
@@ -18,41 +23,57 @@ from cstarfix.contractions import (
     verify_contraction,
     zero_phi,
 )
+from cstarfix.partial import PartialProblem, corollary_sides
 from cstarfix.registry import get_operator, get_phi, get_space
 from cstarfix.spaces import Interval, ValuedDistance, point_repr
 
 
+_VALID_SPECS = [
+    ("plain", {"k": 0.5}),
+    ("graphic", {"k": 0.99}),
+    ("weak", {"k": 0.5, "alpha": 4.0}),
+    ("kannan", {"k": 0.49}),
+    ("chatterjea", {"k": 0.1}),
+    ("reich", {"alpha": 0.2, "beta": 0.3, "gamma": 0.1}),
+]
+
+
+_INVALID_SPECS = [
+    ("plain", {"k": 1.0}, "plain requires k in (0,1), got 1.0"),
+    ("plain", {"k": 0.0}, "plain requires k in (0,1), got 0.0"),
+    ("weak", {"k": 0.5, "alpha": -1.0}, "weak requires alpha >= 0, got -1.0"),
+    ("kannan", {"k": 0.5}, "kannan requires k in (0,1/2), got 0.5"),
+    ("kannan", {"k": 0.6}, "kannan requires k in (0,1/2), got 0.6"),
+    ("chatterjea", {"k": 0.7}, "chatterjea requires k in (0,1/2), got 0.7"),
+    ("reich", {"alpha": 0.5, "beta": 0.5, "gamma": 0.1},
+     "reich requires alpha+beta+gamma < 1, got 1.1"),
+    ("reich", {"alpha": -0.1, "beta": 0.1, "gamma": 0.1}, "reich requires alpha, beta, gamma >= 0"),
+    ("bogus", {"k": 0.5}, "unknown family 'bogus'"),
+    # a missing constant
+    ("weak", {"k": 0.5}, "weak requires alpha >= 0, got None"),
+    ("reich", {"alpha": 0.2, "beta": 0.3}, "reich requires alpha, beta, gamma >= 0"),
+    ("graphic", {}, "graphic requires k in (0,1), got None"),
+    # the k check comes first; a name that is no family
+    ("weak", {"k": 1.5, "alpha": -1.0}, "weak requires k in (0,1), got 1.5"),
+    (None, {"k": 0.5}, "unknown family None"),
+]
+
+
 class TestSpecValidation:
-    @pytest.mark.parametrize(
-        "family,kwargs",
-        [
-            ("plain", {"k": 0.5}),
-            ("graphic", {"k": 0.99}),
-            ("weak", {"k": 0.5, "alpha": 4.0}),
-            ("kannan", {"k": 0.49}),
-            ("chatterjea", {"k": 0.1}),
-            ("reich", {"alpha": 0.2, "beta": 0.3, "gamma": 0.1}),
-        ],
-    )
+    @pytest.mark.parametrize("family,kwargs", _VALID_SPECS)
     def test_valid_specs(self, family, kwargs):
         assert ContractionSpec(family, **kwargs).family == family
 
+    def test_valid_specs_cover_every_family(self):
+        assert sorted(family for family, _ in _VALID_SPECS) == sorted(FAMILIES)
+
     @pytest.mark.parametrize(
-        "family,kwargs",
-        [
-            ("plain", {"k": 1.0}),
-            ("plain", {"k": 0.0}),
-            ("weak", {"k": 0.5, "alpha": -1.0}),
-            ("kannan", {"k": 0.5}),
-            ("kannan", {"k": 0.6}),
-            ("chatterjea", {"k": 0.7}),
-            ("reich", {"alpha": 0.5, "beta": 0.5, "gamma": 0.1}),
-            ("reich", {"alpha": -0.1, "beta": 0.1, "gamma": 0.1}),
-            ("bogus", {"k": 0.5}),
-        ],
+        "family,kwargs,message",
+        _INVALID_SPECS,
+        ids=[f"{family}-kwargs{i}" for i, (family, _, _) in enumerate(_INVALID_SPECS)],
     )
-    def test_invalid_specs(self, family, kwargs):
-        with pytest.raises(InvalidSpecError):
+    def test_invalid_specs(self, family, kwargs, message):
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
             ContractionSpec(family, **kwargs)
 
     def test_config_parsing_with_alias(self):
@@ -342,3 +363,167 @@ class TestStepInequality:
                 assert alg.leq(d(x_next, x), envelope)
                 assert alg.leq(phi(x_next), envelope)
                 x = x_next
+
+
+# The per-family sides as they were written before FAMILIES, one if-chain per
+# mode, kept as the reference that the table must reproduce bit for bit.
+def _reference_inequality_sides(spec, T, d, phi, F, x, y=None):
+    theta = alg.zero(d.kind, d.n)
+    fam = spec.family
+    if fam == "graphic":
+        Tx = T(x)
+        TTx = T(Tx)
+        lhs = F(d(TTx, Tx), phi(TTx), phi(Tx))
+        rhs = alg.scale(spec.k, F(d(Tx, x), phi(Tx), phi(x)))
+        return lhs, rhs
+    Tx, Ty = T(x), T(y)
+    lhs = F(d(Tx, Ty), phi(Tx), phi(Ty))
+    if fam == "plain":
+        rhs = alg.scale(spec.k, F(d(x, y), phi(x), phi(y)))
+    elif fam == "weak":
+        relax = alg.sub(F(d(y, Tx), phi(y), phi(Tx)), F(theta, phi(y), phi(Tx)))
+        rhs = alg.add(
+            alg.scale(spec.k, F(d(x, y), phi(x), phi(y))), alg.scale(spec.alpha, relax)
+        )
+    elif fam == "kannan":
+        rhs = alg.scale(
+            spec.k, alg.add(F(d(Tx, x), phi(Tx), phi(x)), F(d(Ty, y), phi(Ty), phi(y)))
+        )
+    elif fam == "reich":
+        rhs = alg.add(
+            alg.add(
+                alg.scale(spec.alpha, F(d(x, y), phi(x), phi(y))),
+                alg.scale(spec.beta, F(d(x, Tx), phi(x), phi(Tx))),
+            ),
+            alg.scale(spec.gamma, F(d(y, Ty), phi(y), phi(Ty))),
+        )
+    elif fam == "chatterjea":
+        rhs = alg.scale(
+            spec.k,
+            alg.add(
+                alg.sub(F(d(x, Ty), phi(x), phi(Ty)), F(theta, phi(x), phi(Ty))),
+                F(d(y, Tx), phi(y), phi(Tx)),
+            ),
+        )
+    else:
+        raise InvalidSpecError(f"unknown family {fam!r}")
+    return lhs, rhs
+
+
+def _reference_corollary_sides(problem, x, y=None):
+    p, T, spec = problem.p, problem.T, problem.spec
+    fam = spec.family
+    if fam == "graphic":
+        Tx = T(x)
+        return p(T(Tx), Tx), alg.scale(spec.k, p(Tx, x))
+    Tx, Ty = T(x), T(y)
+    lhs = p(Tx, Ty)
+    if fam == "plain":
+        rhs = alg.scale(spec.k, p(x, y))
+    elif fam == "weak":
+        relax = alg.sub(p(y, Tx), alg.scale(0.5, alg.add(p(y, y), p(Tx, Tx))))
+        rhs = alg.add(alg.scale(spec.k, p(x, y)), alg.scale(spec.alpha, relax))
+    elif fam == "kannan":
+        rhs = alg.scale(spec.k, alg.add(p(x, Tx), p(y, Ty)))
+    elif fam == "reich":
+        rhs = alg.add(
+            alg.add(alg.scale(spec.alpha, p(x, y)), alg.scale(spec.beta, p(x, Tx))),
+            alg.scale(spec.gamma, p(y, Ty)),
+        )
+    elif fam == "chatterjea":
+        rhs = alg.scale(spec.k, alg.add(p(x, Ty), p(y, Tx)))
+    else:
+        raise ValueError(f"unknown family {fam!r}")
+    return lhs, rhs
+
+
+def _metric_setup(carrier):
+    """(distance, domain, phi) of a scalar, a vector and a matrix metric-mode space."""
+    if carrier == 0:
+        d = ValuedDistance("scalar", 1, lambda x, y: alg.scalar(abs(x - y)), "metric")
+        return d, Interval(0.0, 1.0), get_phi("self_max")
+    name, phi = [("sum_premetric", "coordinate_pair"),
+                 ("diag_absdiff_matrix", "spread_matrix")][carrier - 1]
+    space = get_space(name)
+    return space.distance, space.domain, get_phi(phi)
+
+
+_PARTIAL_SPACES = ("max_unit_interval", "shifted_max_matrix", "absdiff_pair")
+
+
+# a linear and a nonlinear self-map; both act on scalars and coordinate arrays
+_MAPS = {
+    "linear": lambda c: lambda x: c * x,
+    "nonlinear": lambda c: lambda x: c * x + 0.125 * np.sin(3.0 * x) ** 2,
+}
+
+
+@st.composite
+def _family_spec(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    half = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+    if family == "reich":
+        alpha = draw(st.floats(0.0, 0.99))
+        beta = draw(st.floats(0.0, 0.99 - alpha))
+        gamma = draw(st.floats(0.0, max(0.0, 0.99 - alpha - beta)))
+        consts = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    elif family == "weak":
+        consts = {"k": draw(unit), "alpha": draw(st.floats(0.0, 4.0))}
+    else:
+        consts = {"k": draw(half if family in ("kannan", "chatterjea") else unit)}
+    if draw(st.booleans()):
+        consts = {name: np.float64(v) for name, v in consts.items()}
+    return ContractionSpec(family, **consts)
+
+
+def _pairs(domain, T, seed, count=4):
+    # uniform pairs plus the pairs where the relaxed terms vanish, y = x and y = T(x)
+    rng = np.random.default_rng(seed)
+    xs = [domain.sample(rng) for _ in range(count)]
+    ys = [domain.sample(rng) for _ in range(count)]
+    return list(zip(xs, ys)) + [(xs[0], xs[0]), (xs[1], T(xs[1]))]
+
+
+def _same_bytes(a, b):
+    return a.kind == b.kind and a.n == b.n and a.data.tobytes() == b.data.tobytes()
+
+
+class TestFamilyTable:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=_family_spec(),
+        mode=st.sampled_from(["metric", "partial"]),
+        carrier=st.integers(0, 2),
+        combiner=st.sampled_from([sum_combiner, square_first_combiner]),
+        map_kind=st.sampled_from(sorted(_MAPS)),
+        c=st.floats(0.05, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sides_match_reference(self, spec, mode, carrier, combiner, map_kind, c, seed):
+        calls = []
+        fn = _MAPS[map_kind](c)
+        T = OperatorSpec(lambda x: calls.append(1) or fn(x), "counted")
+        if mode == "metric":
+            d, domain, phi = _metric_setup(carrier)
+            args = (spec, T, d, phi, combiner())
+            new = functools.partial(inequality_sides, *args)
+            old = functools.partial(_reference_inequality_sides, *args)
+        else:
+            named = get_space(_PARTIAL_SPACES[carrier])
+            domain = named.domain
+            problem = PartialProblem(named.distance, T, spec)
+            new = functools.partial(corollary_sides, problem)
+            old = functools.partial(_reference_corollary_sides, problem)
+
+        single = FAMILIES[spec.family].single_point
+        for x, y in _pairs(domain, fn, seed):
+            y = None if single else y
+            del calls[:]
+            got = new(x, y)
+            new_calls = len(calls)
+            del calls[:]
+            want = old(x, y)
+            assert new_calls == len(calls) == 2
+            assert _same_bytes(got[0], want[0]), ("lhs", spec, x, y)
+            assert _same_bytes(got[1], want[1]), ("rhs", spec, x, y)
