@@ -148,12 +148,15 @@ def cmd_solve(args) -> int:
     spec = _spec_from_config(cfg)
     space = get_space(_require(cfg, "space"))
     T = get_operator(_require(cfg, "operator"))
-    solve_cfg = SolveConfig(
-        x0=_point_from_config(_require(cfg, "x0")),
-        tol=args.tol,
-        max_iter=int(cfg.get("max_iter", 10_000)),
-        domain=space.domain,
-    )
+    try:
+        solve_cfg = SolveConfig(
+            x0=_point_from_config(_require(cfg, "x0")),
+            tol=args.tol,
+            max_iter=int(cfg.get("max_iter", 10_000)),
+            domain=space.domain,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad x0 or max_iter: {exc}") from exc
     if cfg.get("mode", "metric") == "partial":
         result = solve_partial(PartialProblem(space.distance, T, spec), solve_cfg)
         cert = result.certificate

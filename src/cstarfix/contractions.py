@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -138,10 +139,19 @@ def _k_below(s: ContractionSpec, upper: float, shown: str) -> None:
         raise InvalidSpecError(f"{s.family} requires k in (0,{shown}), got {s.k}")
 
 
+def _finite(s: ContractionSpec, *names: str) -> None:
+    # NaN passes every comparison test above it; +inf passes alpha >= 0
+    for name in names:
+        value = getattr(s, name)
+        if not math.isfinite(value):
+            raise InvalidSpecError(f"{s.family} requires a finite {name}, got {value}")
+
+
 def _k_and_alpha(s: ContractionSpec) -> None:
     _k_below(s, 1, "1")
     if s.alpha is None or s.alpha < 0:
         raise InvalidSpecError(f"{s.family} requires alpha >= 0, got {s.alpha}")
+    _finite(s, "alpha")
 
 
 def _three_weights(s: ContractionSpec) -> None:
@@ -150,6 +160,7 @@ def _three_weights(s: ContractionSpec) -> None:
         raise InvalidSpecError(f"{s.family} requires alpha, beta, gamma >= 0")
     if a + b + g >= 1:
         raise InvalidSpecError(f"{s.family} requires alpha+beta+gamma < 1, got {a + b + g}")
+    _finite(s, "alpha", "beta", "gamma")
 
 
 class FamilyRule(NamedTuple):

@@ -1,10 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from cstarfix import cli
 from cstarfix.cli import main
-from cstarfix.demos import run_demo
+from cstarfix.demos import DEMOS, STAGES, run_demo
 from cstarfix.registry import UnknownNameError, get_space
 
 
@@ -37,6 +39,21 @@ class TestDemoCommand:
     def test_all_registered_demos_pass(self):
         for demo_id in ("ex2.3", "ex2.4", "ex3.13", "cor4.1", "cor4.5", "cor4.6"):
             assert main(["demo", demo_id, "--samples", "200"]) == 0
+
+    def test_every_row_stage_has_one_stage_function(self):
+        used = {name for demo in DEMOS.values() for name, _ in demo.stages}
+        assert used <= set(STAGES)  # every stage a row names is in the stage table
+        assert set(STAGES) <= used  # every stage kind is used by some row
+
+    def test_module_entry_point(self):
+        def run(*args):
+            cmd = [sys.executable, "-m", "cstarfix.cli", "demo", *args]
+            return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+
+        ok = run("ex2.4", "--samples", "20")
+        assert ok.returncode == 0, ok.stderr
+        assert json.loads(ok.stdout)["demo"] == "ex2.4"
+        assert run("bogus").returncode == 2
 
     def test_human_format(self, capsys):
         assert main(["demo", "ex2.4", "--samples", "100", "--format", "human"]) == 0
@@ -160,6 +177,30 @@ class TestSolveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["certified"]
         assert payload["self_distance_norm"] <= 1e-10
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"x0": "abc"}, {"x0": None}, {"x0": 1.0, "max_iter": 0},
+         {"x0": 1.0, "max_iter": "ten"}],
+    )
+    def test_malformed_x0_or_max_iter_exits_two(self, tmp_path, capsys, setting):
+        cfg = write(
+            tmp_path, "s.json",
+            {"family": "plain", "k": 0.5, "space": "sum_premetric",
+             "operator": "halving", "phi": "coordinate_pair", **setting},
+        )
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_float_max_iter_is_accepted(self, tmp_path):
+        cfg = write(
+            tmp_path, "s.json",
+            {"family": "plain", "k": 0.5, "space": "sum_premetric",
+             "operator": "halving", "phi": "coordinate_pair", "x0": 1.0,
+             "max_iter": 64.0},
+        )
+        assert main(["solve", "--config", cfg]) == 0
 
     def test_non_contractive_solve_exits_one(self, tmp_path):
         cfg = write(

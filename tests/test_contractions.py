@@ -56,6 +56,19 @@ _INVALID_SPECS = [
     # the k check comes first; a name that is no family
     ("weak", {"k": 1.5, "alpha": -1.0}, "weak requires k in (0,1), got 1.5"),
     (None, {"k": 0.5}, "unknown family None"),
+    # non-finite constants; -inf and an infinite Reich weight fail a range check first
+    ("weak", {"k": 0.5, "alpha": float("nan")}, "weak requires a finite alpha, got nan"),
+    ("weak", {"k": 0.5, "alpha": float("inf")}, "weak requires a finite alpha, got inf"),
+    ("weak", {"k": 0.5, "alpha": float("-inf")}, "weak requires alpha >= 0, got -inf"),
+    ("reich", {"alpha": float("nan"), "beta": 0.1, "gamma": 0.1},
+     "reich requires a finite alpha, got nan"),
+    ("reich", {"alpha": 0.1, "beta": float("nan"), "gamma": 0.1},
+     "reich requires a finite beta, got nan"),
+    ("reich", {"alpha": 0.1, "beta": 0.1, "gamma": float("nan")},
+     "reich requires a finite gamma, got nan"),
+    ("reich", {"alpha": float("inf"), "beta": 0.1, "gamma": 0.1},
+     "reich requires alpha+beta+gamma < 1, got inf"),
+    ("plain", {"k": float("nan")}, "plain requires k in (0,1), got nan"),
 ]
 
 
