@@ -82,10 +82,30 @@ def _spec_from_config(cfg: dict) -> ContractionSpec:
         raise ConfigError(f"bad contraction spec: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    # JSON true and false are ints to Python; a string is not a number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _point_from_config(value):
-    if isinstance(value, list):
+    if isinstance(value, list) and all(map(_is_number, value)):
         return np.asarray(value, dtype=float)
-    return float(value)
+    if _is_number(value):
+        return float(value)
+    raise ValueError(f"x0 must be a number or a list of numbers, got {value!r}")
+
+
+def _max_iter_from_config(value) -> int:
+    if _is_number(value) and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    raise ValueError(f"max_iter must be an integer, got {value!r}")
+
+
+def _mode(cfg: dict) -> str:
+    mode = cfg.get("mode", "metric")
+    if mode not in ("metric", "partial"):
+        raise ConfigError(f"mode must be 'metric' or 'partial', got {mode!r}")
+    return mode
 
 
 def cmd_demo(args) -> int:
@@ -128,7 +148,7 @@ def cmd_verify(args) -> int:
     spec = _spec_from_config(cfg)
     space = get_space(_require(cfg, "space"))
     T = get_operator(_require(cfg, "operator"))
-    if cfg.get("mode", "metric") == "partial":
+    if _mode(cfg) == "partial":
         problem = PartialProblem(space.distance, T, spec)
         result = verify_corollary_hypothesis(
             problem, space.domain, args.samples, args.seed
@@ -152,12 +172,12 @@ def cmd_solve(args) -> int:
         solve_cfg = SolveConfig(
             x0=_point_from_config(_require(cfg, "x0")),
             tol=args.tol,
-            max_iter=int(cfg.get("max_iter", 10_000)),
+            max_iter=_max_iter_from_config(cfg.get("max_iter", 10_000)),
             domain=space.domain,
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ConfigError(f"bad x0 or max_iter: {exc}") from exc
-    if cfg.get("mode", "metric") == "partial":
+    if _mode(cfg) == "partial":
         result = solve_partial(PartialProblem(space.distance, T, spec), solve_cfg)
         cert = result.certificate
         payload = result.to_dict()
@@ -187,13 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("human", "structured")):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument(
-            "--format", choices=["human", "structured", "csv"], default="structured"
-        )
+        p.add_argument("--format", choices=formats, default="structured")
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_demo = sub.add_parser("demo", help="run a registered end-to-end demo")
@@ -213,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the fixed-point solver")
     p_solve.add_argument("--config", required=True)
-    common(p_solve)
+    common(p_solve, formats=("human", "structured", "csv"))
     p_solve.set_defaults(func=cmd_solve)
     return parser
 
@@ -221,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     if args.samples < 1:
         parser.error("--samples must be at least 1")
     if args.tol <= 0:

@@ -19,15 +19,17 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import algebra as alg
-from .algebra import AlgebraElement, OrderTolerance
+from .algebra import AlgebraElement
 from .spaces import (
     AxiomCheck,
     AxiomReport,
     Domain,
     ValuedDistance,
-    chunked_values,
+    axiom_check,
+    below,
     first_failure,
     point_repr,
+    vanishes,
 )
 
 __all__ = [
@@ -99,6 +101,9 @@ def zero_phi(kind: alg.Kind, n: int = 1) -> PhiFunction:
     return PhiFunction(lambda x: z, "zero")
 
 
+_CONSTANTS = ("k", "alpha", "beta", "gamma")
+
+
 @dataclass(frozen=True)
 class ContractionSpec:
     family: str
@@ -111,10 +116,12 @@ class ContractionSpec:
         if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise InvalidSpecError(f"unknown family {self.family!r}")
         FAMILIES[self.family].check(self)
+        # then every numeric constant, read or not: to_dict echoes them all
+        _finite(self, *(c for c in _CONSTANTS if isinstance(getattr(self, c), (int, float))))
 
     def to_dict(self) -> dict:
         d = {"family": self.family}
-        for name in ("k", "alpha", "beta", "gamma"):
+        for name in _CONSTANTS:
             v = getattr(self, name)
             if v is not None:
                 d[name] = v
@@ -242,7 +249,6 @@ def check_F_axioms(
     n: int = 2,
     sample_count: int = 500,
     seed: int = 0,
-    tol: OrderTolerance | None = None,
 ) -> AxiomReport:
     """Sampled check of the combiner axioms.
 
@@ -267,20 +273,16 @@ def check_F_axioms(
     triples += zip(fresh[0::3], fresh[1::3], fresh[2::3])
 
     def dominated(items, kind, a, b, out):
-        ok, _ = alg.positive_rows(kind, np.concatenate([out - a, out - b]), tol)
-        return ok[: len(items)] & ok[len(items) :], out
+        ok, _ = alg.positive_rows(kind, np.concatenate([out - a, out - b]))
+        return ok[: len(items)] & ok[len(items) :], out, None
 
     def inputs(triple):
         return {"points": {}, "inputs": [alg.element_to_dict(v) for v in triple]}
 
-    def vanishes(items, kind, out):
-        norms = alg.norm_rows(kind, out)
-        return norms <= alg._resolve_eps(norms, tol), out
-
     report.checks.append(
-        first_failure("dominance", triples, lambda a, b, c: (a, b, F(a, b, c)), dominated, inputs)
+        axiom_check("dominance", triples, lambda a, b, c: (a, b, F(a, b, c)), dominated, inputs)
     )
-    report.checks.append(first_failure(
+    report.checks.append(axiom_check(
         "zero-preservation", [(theta,) * 3], lambda a, b, c: (F(a, b, c),), vanishes,
         lambda _: {"points": {}},
     ))
@@ -388,39 +390,23 @@ def sample_check(
     sides: Callable[[object, object], tuple[AlgebraElement, AlgebraElement]],
     sample_count: int,
     seed: int,
-    tol: OrderTolerance | None,
 ) -> VerificationResult:
     """Certify lhs <= rhs from sides(x, y) over the (x, y) samples, or stop at
-    the first counterexample (lowest sample index wins). Samples are tested
-    in chunks of 1, 2, 4, ..., one stacked order-cone test per chunk."""
-    max_slack = 0.0
-    ce = None
-    for start, chunk, kind, (lhs, rhs) in chunked_values(samples, lambda s: sides(*s)):
-        ok, slack = alg.positive_rows(kind, rhs - lhs, tol)
-        bad = np.flatnonzero(~ok)
-        stop = bad[0] if bad.size else len(chunk)
-        if stop:
-            max_slack = max(max_slack, float(slack[:stop].max()))
-        if bad.size:
-            x, y = chunk[stop]
-            ce = {
-                "index": start + int(stop),
-                "x": point_repr(x),
-                "lhs": alg.element_to_dict(alg._raw(kind, lhs[stop])),
-                "rhs": alg.element_to_dict(alg._raw(kind, rhs[stop])),
-            }
-            if y is not None:
-                ce["y"] = point_repr(y)
-            break
-    return VerificationResult(
-        inequality=inequality,
-        certified=ce is None,
-        seed=seed,
-        sample_count=sample_count,
-        max_slack_norm=max_slack,
-        spec=spec,
-        counterexample=ce,
-    )
+    the first counterexample (lowest sample index wins); max_slack_norm is the
+    largest norm of rhs - lhs before it."""
+    max_slack, failure = first_failure(samples, lambda s: sides(*s), below)
+    result = VerificationResult(inequality, failure is None, seed, sample_count, max_slack, spec)
+    if failure is not None:
+        index, (x, y), kind, _, (lhs, rhs) = failure
+        ce = result.counterexample = {
+            "index": index,
+            "x": point_repr(x),
+            "lhs": alg.element_to_dict(alg._raw(kind, lhs)),
+            "rhs": alg.element_to_dict(alg._raw(kind, rhs)),
+        }
+        if y is not None:
+            ce["y"] = point_repr(y)
+    return result
 
 
 def verify_contraction(
@@ -432,7 +418,6 @@ def verify_contraction(
     domain: Domain,
     sample_count: int = 1000,
     seed: int = 0,
-    tol: OrderTolerance | None = None,
 ) -> VerificationResult:
     """Certify the family inequality over a seeded sample, or produce the
     first counterexample (lowest sample index wins)."""
@@ -444,7 +429,7 @@ def verify_contraction(
         _jittered_pairs(T, domain, sample_count - n_uniform, rng),
     )
     sides = functools.partial(inequality_sides, spec, T, d, phi, F)
-    return sample_check(spec.family, spec, samples, sides, sample_count, seed, tol)
+    return sample_check(spec.family, spec, samples, sides, sample_count, seed)
 
 
 def _jittered_pairs(T: OperatorSpec, domain: Domain, count: int, rng: np.random.Generator):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .algebra import AlgebraElement, OrderTolerance
+from .algebra import AlgebraElement
 from .contractions import (
     ContractionSpec,
     FFunction,
@@ -77,14 +77,13 @@ def verify_corollary_hypothesis(
     domain: Domain,
     sample_count: int = 1000,
     seed: int = 0,
-    tol: OrderTolerance | None = None,
 ) -> VerificationResult:
     """Sample the corollary inequality in p; certificate or first counterexample."""
     rng = np.random.default_rng(seed)
     samples = uniform_samples(domain, sample_count, rng, problem.spec)
     sides = functools.partial(corollary_sides, problem)
     return sample_check(
-        f"partial-{problem.spec.family}", problem.spec, samples, sides, sample_count, seed, tol
+        f"partial-{problem.spec.family}", problem.spec, samples, sides, sample_count, seed
     )
 
 

@@ -6,7 +6,6 @@ no counterexample was found among N deterministic samples, never a proof.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal, Optional, Sequence
@@ -14,7 +13,7 @@ from typing import Callable, Iterable, Literal, Optional, Sequence
 import numpy as np
 
 from . import algebra as alg
-from .algebra import AlgebraElement, OrderTolerance
+from .algebra import AlgebraElement
 
 Flavor = Literal["metric", "partial", "premetric"]
 Verdict = Literal["pass", "fail", "inconclusive"]
@@ -164,17 +163,17 @@ def _named_points(item: tuple) -> dict:
     return {"points": {k: point_repr(v) for k, v in zip("xyz", item)}}
 
 
-def chunked_values(items: Iterable, evaluate: Callable):
-    """(start, chunk, kind, columns) for consecutive chunks of 1, 2, 4, ...
-    items. evaluate(item) gives an item's tuple of algebra values, and
-    columns[j] is the row stack of the j-th value over the chunk.
+def first_failure(items: Iterable, evaluate: Callable, test: Callable):
+    """(best, failure): the first item failing test, as (index, item, kind,
+    offending row, the item's value rows), or None; best is the largest score
+    before it. Items are pulled lazily in chunks of 1, 2, 4, ...: evaluate(item)
+    gives an item's algebra values, and test(chunk, kind, *columns), columns[j]
+    the row stack of the j-th value, gives (ok, offending, score or None) per row.
 
-    Items are pulled lazily, so a failure at item 0 evaluates only item 0.
-    An error from evaluate ends its chunk before the item and is raised when
-    the next chunk is asked for: a failure earlier in the chunk comes first.
-    """
+    A failure at item i evaluates at most 2 i + 1 items. An error from evaluate
+    is raised only if no earlier item of its chunk fails."""
     it = iter(items)
-    start, size = 0, 1
+    start, size, best = 0, 1, 0.0
     while True:
         chunk, values, error = [], [], None
         try:
@@ -186,36 +185,39 @@ def chunked_values(items: Iterable, evaluate: Callable):
         if chunk:
             kind, data = alg.stack(values)
             columns = data.reshape(len(chunk), -1, *data.shape[1:]).swapaxes(0, 1)
-            yield start, chunk, kind, columns
+            ok, offending, score = test(chunk, kind, *columns)
+            bad = np.flatnonzero(~ok)
+            stop = int(bad[0]) if bad.size else len(chunk)
+            if score is not None and stop:
+                best = max(best, float(score[:stop].max()))
+            if bad.size:
+                return best, (start + stop, chunk[stop], kind, offending[stop], columns[:, stop])
         if error is not None:
             raise error
         if len(chunk) < size:
-            return
+            return best, None
         start += size
         size *= 2
 
 
-def first_failure(
+def axiom_check(
     axiom: str, items: Sequence[tuple], evaluate: Callable, test: Callable,
     describe=_named_points,
 ) -> AxiomCheck:
-    """Verdict of one sampled axiom. evaluate(*item) gives an item's algebra
-    values; test(chunk, kind, *columns) maps a chunk of items and the row
-    stacks of their values to (ok per item, offending data per item). A fail
-    names the first failing item, witnessed by describe(item) and its
-    offending element; otherwise a pass over all items."""
-    for _, chunk, kind, columns in chunked_values(items, lambda item: evaluate(*item)):
-        ok, offending = test(chunk, kind, *columns)
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            i = bad[0]
-            element = alg.element_to_dict(alg._raw(kind, offending[i]))
-            return AxiomCheck(axiom, "fail", len(items), {**describe(chunk[i]), "offending": element})
-    return AxiomCheck(axiom, "pass", len(items))
+    """Verdict of one sampled axiom over items, evaluate(*item) giving an
+    item's algebra values and test as in first_failure. A fail names the
+    first failing item, witnessed by describe(item) and its offending
+    element; otherwise a pass over all items."""
+    _, failure = first_failure(items, lambda item: evaluate(*item), test)
+    if failure is None:
+        return AxiomCheck(axiom, "pass", len(items))
+    _, item, kind, offending, _ = failure
+    element = alg.element_to_dict(alg._raw(kind, offending))
+    return AxiomCheck(axiom, "fail", len(items), {**describe(item), "offending": element})
 
 
 def _check_axioms(
-    d: ValuedDistance, axioms: tuple, domain: Domain, sample_count: int, seed: int, tol
+    d: ValuedDistance, axioms: tuple, domain: Domain, sample_count: int, seed: int
 ) -> list:
     """Each (name, arity, terms, test) in order, over cyclically consecutive
     sampled points, pairs or triples; terms are the (i, j) index pairs of the
@@ -229,62 +231,61 @@ def _check_axioms(
         def evaluate(*item, terms=terms):
             return tuple(d(item[i], item[j]) for i, j in terms)
 
-        checks.append(first_failure(axiom, items, evaluate, functools.partial(test, tol)))
+        checks.append(axiom_check(axiom, items, evaluate, test))
     return checks
 
 
-def _below(tol, kind, low, high):
+def below(items, kind, low, high):
+    """low <= high in the order cone, scored by the norm of high - low."""
     diff = high - low
-    return alg.positive_rows(kind, diff, tol)[0], diff
+    ok, norms = alg.positive_rows(kind, diff)
+    return ok, diff, norms
 
 
-def _nonnegative(tol, items, kind, dxy):
-    return alg.positive_rows(kind, dxy, tol)[0], dxy
+def _nonnegative(items, kind, dxy):
+    return alg.positive_rows(kind, dxy)[0], dxy, None
 
 
-def _symmetric(tol, items, kind, dxy, dyx):
+def _symmetric(items, kind, dxy, dyx):
     diff = dxy - dyx
-    return alg.norm_rows(kind, diff) <= alg._resolve_eps(alg.norm_rows(kind, dxy), tol), diff
+    return alg.norm_rows(kind, diff) <= alg._default_eps(alg.norm_rows(kind, dxy)), diff, None
 
 
-def _triangle(tol, items, kind, dxz, dzy, dxy):
-    return _below(tol, kind, dxy, dxz + dzy)
+def _triangle(items, kind, dxz, dzy, dxy):
+    return below(items, kind, dxy, dxz + dzy)
 
 
-def _partial_triangle(tol, items, kind, dxz, dzy, dzz, dxy):
+def _partial_triangle(items, kind, dxz, dzy, dzz, dxy):
     # the partial triangle is corrected by the middle self-distance
-    return _below(tol, kind, dxy, dxz + dzy - dzz)
+    return below(items, kind, dxy, dxz + dzy - dzz)
 
 
-def _indistinguishable(tol, items, kind, pxx, pyy, pxy):
+def _indistinguishable(items, kind, pxx, pyy, pxy):
     # converse direction: p(x,x) = p(y,y) = p(x,y) forces x = y
-    eps = alg._resolve_eps(alg.norm_rows(kind, pxy), tol)
+    eps = alg._default_eps(alg.norm_rows(kind, pxy))
     coincide = (alg.norm_rows(kind, pxx - pxy) <= eps) & (alg.norm_rows(kind, pyy - pxy) <= eps)
     xs, ys = (np.array(pts, dtype=float).reshape(len(items), -1) for pts in zip(*items))
     same_point = np.max(np.abs(xs - ys), axis=1) <= 1e-9
-    return ~coincide | same_point, pxy - pxx
+    return ~coincide | same_point, pxy - pxx, None
 
 
-def _small_self(tol, items, kind, pxx, pxy):
-    return _below(tol, kind, pxx, pxy)
-
-
-def _self_zero(tol, items, kind, v):
+def vanishes(items, kind, v):
+    """v = 0: self-distance zero, and the combiner's zero preservation."""
     norms = alg.norm_rows(kind, v)
-    return norms <= alg._resolve_eps(norms, tol), v
+    return norms <= alg._default_eps(norms), v, None
 
 
 _PARTIAL_AXIOMS = (
     ("nonnegativity", 2, ((0, 1),), _nonnegative),
     ("indistinguishability", 2, ((0, 0), (1, 1), (0, 1)), _indistinguishable),
     ("symmetry", 2, ((0, 1), (1, 0)), _symmetric),
-    ("self-distance", 2, ((0, 0), (0, 1)), _small_self),
+    ("self-distance", 2, ((0, 0), (0, 1)), below),
     ("triangle", 3, ((0, 2), (2, 1), (2, 2), (0, 1)), _partial_triangle),
 )
 
 _METRIC_AXIOMS = (
     ("nonnegativity", 2, ((0, 1),), _nonnegative),
-    ("self-distance-zero", 1, ((0, 0),), _self_zero),
+    ("self-distance-zero", 1, ((0, 0),), vanishes),
     ("symmetry", 2, ((0, 1), (1, 0)), _symmetric),
     ("triangle", 3, ((0, 2), (2, 1), (0, 1)), _triangle),
 )
@@ -295,7 +296,6 @@ def check_partial_axioms(
     domain: Domain,
     sample_count: int = 500,
     seed: int = 0,
-    tol: OrderTolerance | None = None,
 ) -> AxiomReport:
     """Sampled validation of the four partial-metric axioms.
 
@@ -305,7 +305,7 @@ def check_partial_axioms(
     """
     if p.flavor not in ("partial", "premetric"):
         raise ValueError("partial axiom check needs a partial or premetric flavor")
-    checks = _check_axioms(p, _PARTIAL_AXIOMS, domain, sample_count, seed, tol)
+    checks = _check_axioms(p, _PARTIAL_AXIOMS, domain, sample_count, seed)
     return AxiomReport(label=p.label or "partial-metric", seed=seed, checks=checks)
 
 
@@ -314,12 +314,11 @@ def check_metric_axioms(
     domain: Domain,
     sample_count: int = 500,
     seed: int = 0,
-    tol: OrderTolerance | None = None,
 ) -> AxiomReport:
     """Sampled validation of the plain metric axioms (self-distance zero)."""
     if d.flavor not in ("metric", "premetric"):
         raise ValueError("metric axiom check needs a metric or premetric flavor")
-    checks = _check_axioms(d, _METRIC_AXIOMS, domain, sample_count, seed, tol)
+    checks = _check_axioms(d, _METRIC_AXIOMS, domain, sample_count, seed)
     return AxiomReport(label=d.label or "metric", seed=seed, checks=checks)
 
 

@@ -142,6 +142,15 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--samples", "500"]) == 1
         assert "counterexample" in json.loads(capsys.readouterr().out)
 
+    def test_non_finite_unread_constant_exits_two(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path, "v.json",
+            {"space": "max_unit_interval", "mode": "partial", "operator": "halving",
+             "family": "plain", "k": 0.5, "alpha": float("nan"), "gamma": float("inf")},
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: plain requires a finite alpha, got nan\n"
+
     def test_metric_mode_with_phi(self, tmp_path, capsys):
         cfg = write(
             tmp_path, "v.json",
@@ -181,7 +190,12 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "setting",
         [{"x0": "abc"}, {"x0": None}, {"x0": 1.0, "max_iter": 0},
-         {"x0": 1.0, "max_iter": "ten"}],
+         {"x0": 1.0, "max_iter": "ten"},
+         # no coercion: a fraction, a bool or a string is not an iteration count,
+         # and a string or a bool is not a point
+         {"x0": 1.0, "max_iter": 2.9}, {"x0": 1.0, "max_iter": True},
+         {"x0": 1.0, "max_iter": "64"}, {"x0": 1.0, "max_iter": float("inf")},
+         {"x0": "1.0"}, {"x0": True}, {"x0": [1.0, "2"]}, {"x0": [1.0, False]}],
     )
     def test_malformed_x0_or_max_iter_exits_two(self, tmp_path, capsys, setting):
         cfg = write(
@@ -212,7 +226,34 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 1
 
 
+_VERIFY = {"family": "plain", "k": 0.5, "space": "sum_premetric", "operator": "halving",
+           "phi": "coordinate_pair"}
+
+
 class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            # only solve writes CSV
+            (["demo", "ex2.4", "--format", "csv"], None),
+            (["axioms", "--format", "csv"], {"space": "sum_premetric"}),
+            (["verify", "--format", "csv"], _VERIFY),
+            (["demo", "ex2.4", "--seed", "-1"], None),
+            (["verify"], {**_VERIFY, "mode": "partail"}),
+            (["solve"], {**_VERIFY, "mode": "partail", "x0": 1.0}),
+        ],
+        ids=["demo-csv", "axioms-csv", "verify-csv", "negative-seed", "verify-mode", "solve-mode"],
+    )
+    def test_usage_error_exits_two(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            argv = [*argv, "--config", write(tmp_path, "c.json", config)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_bad_samples_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["demo", "ex2.4", "--samples", "0"])

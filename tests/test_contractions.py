@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from cstarfix import algebra as alg
 from cstarfix.contractions import (
     FAMILIES,
     ContractionSpec,
+    FFunction,
     InvalidSpecError,
     OperatorSpec,
     PhiFunction,
@@ -69,6 +71,18 @@ _INVALID_SPECS = [
     ("reich", {"alpha": float("inf"), "beta": 0.1, "gamma": 0.1},
      "reich requires alpha+beta+gamma < 1, got inf"),
     ("plain", {"k": float("nan")}, "plain requires k in (0,1), got nan"),
+    # a non-finite constant the family does not read, checked after the family's own check
+    ("plain", {"k": 0.5, "alpha": float("nan"), "gamma": float("inf")},
+     "plain requires a finite alpha, got nan"),
+    ("plain", {"k": 0.5, "gamma": float("inf")}, "plain requires a finite gamma, got inf"),
+    ("kannan", {"k": 0.25, "beta": float("-inf")}, "kannan requires a finite beta, got -inf"),
+    ("weak", {"k": 0.5, "alpha": 1.0, "gamma": float("nan")},
+     "weak requires a finite gamma, got nan"),
+    ("reich", {"k": float("nan"), "alpha": 0.1, "beta": 0.1, "gamma": 0.1},
+     "reich requires a finite k, got nan"),
+    ("reich", {"k": float("nan"), "alpha": float("nan"), "beta": 0.1, "gamma": 0.1},
+     "reich requires a finite alpha, got nan"),
+    ("graphic", {"k": 0.5, "beta": float("inf")}, "graphic requires a finite beta, got inf"),
 ]
 
 
@@ -88,6 +102,9 @@ class TestSpecValidation:
     def test_invalid_specs(self, family, kwargs, message):
         with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
             ContractionSpec(family, **kwargs)
+
+    def test_non_numeric_unread_constant_is_kept(self):
+        assert ContractionSpec("plain", k=0.5, alpha="x").to_dict()["alpha"] == "x"
 
     def test_config_parsing_with_alias(self):
         spec = ContractionSpec.from_dict({"family": "kannan", "k": 0.333})
@@ -122,6 +139,49 @@ class TestEffectiveRate:
         assert 0 < effective_rate(spec) < 1
 
 
+def _positive_draws(kind, n, rng, count):
+    """count positive scalars or n-vectors, drawn as check_F_axioms draws them."""
+    data = np.abs(rng.normal(size=count if kind == "scalar" else (count, n)))
+    return [alg.scalar(v) if kind == "scalar" else alg.vector(v) for v in data]
+
+
+def _reference_continuity(F, kind, n, sample_count, seed):
+    """Eager per-probe continuity check: (modulus, failing probe, witness)."""
+    rng = np.random.default_rng(seed)
+    theta = alg.zero(kind, n)
+    boundary = _positive_draws(kind, n, rng, max(4, sample_count // 50))
+    triples = [(alg.scale(0.5 / alg.norm(a), a), theta, theta) for a in boundary]
+    fresh = _positive_draws(kind, n, rng, 3 * (sample_count - len(triples)))
+    triples += zip(fresh[0::3], fresh[1::3], fresh[2::3])
+    probed = triples[:100]
+    steps = [alg.scale(1e-6, v) for v in _positive_draws(kind, n, rng, 3 * len(probed))]
+    modulus = 0.0
+    for i, (a, b, c) in enumerate(probed):
+        da, db, dc = steps[3 * i : 3 * i + 3]
+        moved = F(alg.add(a, da), alg.add(b, db), alg.add(c, dc))
+        ratio = alg.norm(alg.sub(moved, F(a, b, c))) / max(map(alg.norm, (da, db, dc)))
+        if not math.isfinite(ratio):
+            return modulus, i, {"points": {}, "offending": alg.element_to_dict(moved)}
+        modulus = max(modulus, ratio)
+    return modulus, None, None
+
+
+def _blows_up_past_the_boundary(kind):
+    """The sum combiner with an infinite first entry once its second argument
+    is not tiny: on the random probes that follow the boundary probes
+    (a, theta, theta). The other entries keep the perturbed output apart."""
+
+    def fn(a, b, c):
+        out = alg.add(alg.add(a, b), c)
+        if alg.norm(b) < 1e-3:
+            return out
+        data = np.array(out.data)
+        data.flat[0] = math.inf
+        return alg._raw(kind, data)
+
+    return FFunction(fn, "blows-up")
+
+
 class TestFAxioms:
     def test_sum_combiner_passes(self):
         for kind in ("scalar", "vector", "matrix"):
@@ -150,6 +210,18 @@ class TestFAxioms:
     def test_continuity_modulus_reported(self):
         report = check_F_axioms(sum_combiner(), "vector", 2, 200, seed=1)
         assert report.continuity_modulus > 0
+
+    @pytest.mark.parametrize("kind,n", [("scalar", 1), ("vector", 2)])
+    def test_continuity_fails_at_first_non_finite_probe(self, kind, n):
+        F = _blows_up_past_the_boundary(kind)
+        with np.errstate(invalid="ignore"):  # inf - inf past the boundary
+            report = check_F_axioms(F, kind, n, 60, seed=3)
+            modulus, failed, witness = _reference_continuity(F, kind, n, 60, 3)
+        assert failed == 4  # the first probe past the four boundary probes
+        continuity = next(c for c in report.checks if c.axiom == "continuity")
+        assert continuity.verdict == "fail" and continuity.samples == 60
+        assert continuity.witness == witness
+        assert report.continuity_modulus.hex() == modulus.hex()
 
 
 def sum_premetric_setup():
@@ -337,7 +409,7 @@ class TestSampleCheckChunks:
         def sides(x, y):
             return inequality_sides(spec, T, d, zero_phi(kind, d.n), sum_combiner(), x, y)
 
-        result = sample_check("plain", spec, iter(samples), sides, len(samples), 0, None)
+        result = sample_check("plain", spec, iter(samples), sides, len(samples), 0)
         evaluated = len(calls) // 2
         ref_slack, ref_ce = _reference_check(samples, sides)
         assert result.counterexample == ref_ce
@@ -355,10 +427,30 @@ class TestSampleCheckChunks:
             return scaled(0.5 * abs(x - y)), scaled(abs(x - y) + x)
 
         result = sample_check("plain", ContractionSpec("plain", k=0.5), iter(samples), sides,
-                              len(samples), 0, None)
+                              len(samples), 0)
         ref_slack, ref_ce = _reference_check(samples, sides)
         assert result.certified and ref_ce is None
         assert result.max_slack_norm.hex() == ref_slack.hex()
+
+
+    def test_error_later_in_a_chunk_does_not_hide_an_earlier_counterexample(self):
+        # samples 3..6 form one chunk: the counterexample at 3 wins over the error at 4
+        samples = [(float(i), 0.0) for i in range(10)]
+        spec = ContractionSpec("plain", k=0.5)
+
+        def raising_at(bad_index):
+            def sides(x, y):
+                if x == bad_index:
+                    raise ArithmeticError("side blew up")
+                return alg.scalar(2.0 if x in (3, 5) else 0.5), alg.scalar(1.0)
+
+            return sides
+
+        result = sample_check("plain", spec, iter(samples), raising_at(4), len(samples), 0)
+        assert result.counterexample["index"] == 3
+        assert result.max_slack_norm == 0.5
+        with pytest.raises(ArithmeticError):
+            sample_check("plain", spec, iter(samples), raising_at(2), len(samples), 0)
 
 
 class TestStepInequality:

@@ -1,4 +1,3 @@
-import functools
 
 import numpy as np
 import pytest
@@ -271,7 +270,7 @@ def test_first_failure_chunks_match_per_item_loop(kind, axiom, first):
     def evaluate(*item):
         return tuple(d(item[i], item[j]) for i, j in terms)
 
-    check = spaces.first_failure(axiom, items, evaluate, functools.partial(test, None))
+    check = spaces.axiom_check(axiom, items, evaluate, test)
     evaluated = len(calls) // len(terms)
     calls.clear()
     expected = _reference_axiom(axiom, d, items)
@@ -293,8 +292,8 @@ def _raises_at(bad_index):
 def test_error_later_in_a_chunk_does_not_hide_an_earlier_failure():
     # items 3..6 form one chunk: the failure at 3 wins over the error at 4
     items = [(float(i), 0.0) for i in range(10)]
-    test = functools.partial(spaces._nonnegative, None)
-    check = spaces.first_failure("nonnegativity", items, _raises_at(4), test)
+    test = spaces._nonnegative
+    check = spaces.axiom_check("nonnegativity", items, _raises_at(4), test)
     assert check.witness["points"]["x"] == 3.0
     with pytest.raises(ArithmeticError):
-        spaces.first_failure("nonnegativity", items, _raises_at(2), test)
+        spaces.axiom_check("nonnegativity", items, _raises_at(2), test)
