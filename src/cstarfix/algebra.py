@@ -115,14 +115,18 @@ class AlgebraElement:
             return 1
         return self.data.shape[0]
 
+    # numpy scalars hand their products with elements to __rmul__
+    __array_ufunc__ = None
+
+    # with a Rows operand, the Rows method of the reflected operation answers
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return add(self, other)
+        return NotImplemented if isinstance(other, Rows) else add(self, other)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return sub(self, other)
+        return NotImplemented if isinstance(other, Rows) else sub(self, other)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return mul(self, other)
+        return NotImplemented if isinstance(other, Rows) else mul(self, other)
 
     def __rmul__(self, t: float) -> "AlgebraElement":
         return scale(t, self)
@@ -137,6 +141,88 @@ def _raw(kind: Kind, data: np.ndarray) -> AlgebraElement:
     object.__setattr__(obj, "kind", kind)
     object.__setattr__(obj, "data", data)
     return obj
+
+
+class RowFailure(Exception):
+    """The error raised while evaluating row `row` of a stack; the rows
+    before it evaluated without one."""
+
+    def __init__(self, row: int, error: Exception):
+        super().__init__(row, error)
+        self.row, self.error = row, error
+
+
+class Rows:
+    """N elements of one kind and size as one (N,), (N, n) or (N, n, n) array:
+    the values of a chunk of samples. Arithmetic is row by row, with the
+    operations and checks of the element functions; an AlgebraElement operand
+    stands for the same element in every row."""
+
+    __slots__ = ("kind", "data")
+    __array_ufunc__ = None
+
+    def __init__(self, kind: Kind, data: np.ndarray):
+        self.kind, self.data = kind, data
+
+    @property
+    def n(self) -> int:
+        return 1 if self.kind == "scalar" else self.data.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, rows: slice) -> "Rows":
+        return Rows(self.kind, self.data[rows])
+
+    def row(self, i: int) -> AlgebraElement:
+        return _raw(self.kind, self.data[i])
+
+    def _apply(self, op, a, b) -> "Rows":
+        _check_compatible(a, b)
+        return Rows(self.kind, op(a.data, b.data))
+
+    def _times(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ b if self.kind == "matrix" else a * b
+
+    def __add__(self, other) -> "Rows":
+        return self._apply(np.add, self, other)
+
+    def __radd__(self, other) -> "Rows":
+        return self._apply(np.add, other, self)
+
+    def __sub__(self, other) -> "Rows":
+        return self._apply(np.subtract, self, other)
+
+    def __rsub__(self, other) -> "Rows":
+        return self._apply(np.subtract, other, self)
+
+    def __mul__(self, other) -> "Rows":
+        return self._apply(self._times, self, other)
+
+    def __rmul__(self, other) -> "Rows":
+        if isinstance(other, AlgebraElement):
+            return self._apply(self._times, other, self)
+        return Rows(self.kind, float(other) * self.data)
+
+
+_RANK = {"scalar": 0, "vector": 1, "matrix": 2}
+
+
+def values(kind: Kind, data) -> "AlgebraElement | Rows":
+    """The element of freshly computed data, or the Rows of data with a
+    leading row axis. Matrix data are cast to complex and must be finite, as
+    matrix() requires; a non-finite row of a stack raises RowFailure at that
+    row. Real data are taken as they are, as _raw takes them."""
+    if kind != "matrix":
+        data = np.asarray(data, dtype=float)
+        return _raw(kind, data) if data.ndim == _RANK[kind] else Rows(kind, data)
+    if np.ndim(data) == 2:
+        return matrix(data)
+    data = np.asarray(data, dtype=complex)
+    finite = np.isfinite(data).all(axis=(1, 2))
+    if not finite.all():
+        raise RowFailure(int(np.argmin(finite)), AlgebraError("element data must be finite"))
+    return Rows(kind, data)
 
 
 def scalar(value: float) -> AlgebraElement:
@@ -254,18 +340,19 @@ def _hermitian_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def positive_rows(
     kind: Kind, data: np.ndarray, tol: OrderTolerance | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The order cone over a stack: whether each row is self-adjoint within
-    eps with spectrum >= -eps, and each row's norm, from which the default
-    eps is taken."""
+    """The order cone over a stack: whether each row is finite and
+    self-adjoint within eps with spectrum >= -eps, and each row's norm, from
+    which the default eps is taken. A row of infinite norm would get an
+    infinite default eps, so it is outside the cone."""
     norms = norm_rows(kind, data)
     eps = _resolve_eps(norms, tol)
     if kind == "scalar":
-        return data >= -eps, norms
+        return (data >= -eps) & np.isfinite(norms), norms
     if kind == "vector":
-        return np.min(data, axis=1) >= -eps, norms
+        return (np.min(data, axis=1) >= -eps) & np.isfinite(norms), norms
     asym, hermitian_part = _hermitian_split(data)
     lowest = np.linalg.eigvalsh(hermitian_part)[:, 0]
-    return (asym <= eps) & (lowest >= -eps), norms
+    return (asym <= eps) & (lowest >= -eps) & np.isfinite(norms), norms
 
 
 def max_asymmetry(a: AlgebraElement) -> float:

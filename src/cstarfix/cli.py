@@ -23,7 +23,7 @@ from .demos import DEMOS, run_demo
 from .partial import PartialProblem, solve_partial, verify_corollary_hypothesis
 from .registry import UnknownNameError, get_combiner, get_operator, get_phi, get_space
 from .solver import SolveConfig, SolverError, picard_solve
-from .spaces import check_metric_axioms, check_partial_axioms
+from .spaces import Box, check_metric_axioms, check_partial_axioms
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -87,12 +87,16 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _point_from_config(value):
-    if isinstance(value, list) and all(map(_is_number, value)):
-        return np.asarray(value, dtype=float)
+def _point_from_config(value, domain):
+    """x0 as a point of the domain's shape: a number for an interval, a list
+    of dim numbers for a box. Whether it lies inside is the solver's check."""
+    if isinstance(domain, Box):
+        if isinstance(value, list) and len(value) == domain.dim and all(map(_is_number, value)):
+            return np.asarray(value, dtype=float)
+        raise ValueError(f"x0 must be a list of {domain.dim} numbers, got {value!r}")
     if _is_number(value):
         return float(value)
-    raise ValueError(f"x0 must be a number or a list of numbers, got {value!r}")
+    raise ValueError(f"x0 must be a number, got {value!r}")
 
 
 def _max_iter_from_config(value) -> int:
@@ -170,7 +174,7 @@ def cmd_solve(args) -> int:
     T = get_operator(_require(cfg, "operator"))
     try:
         solve_cfg = SolveConfig(
-            x0=_point_from_config(_require(cfg, "x0")),
+            x0=_point_from_config(_require(cfg, "x0"), space.domain),
             tol=args.tol,
             max_iter=_max_iter_from_config(cfg.get("max_iter", 10_000)),
             domain=space.domain,

@@ -11,10 +11,9 @@ sample or returns the first counterexample; runs are deterministic given
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,11 +23,18 @@ from .spaces import (
     AxiomCheck,
     AxiomReport,
     Domain,
+    Points,
+    Sample,
     ValuedDistance,
+    _sliced,
     axiom_check,
     below,
+    each_row,
     first_failure,
+    head_evaluated,
+    over_rows,
     point_repr,
+    rowwise,
     vanishes,
 )
 
@@ -53,6 +59,10 @@ class InvalidSpecError(ValueError):
     """Contraction constants outside their validity range."""
 
 
+# Called with stacks (Points, or alg.Rows for values), the three callables
+# below evaluate every row: in one call if fn is rowwise, else row by row.
+
+
 @dataclass(frozen=True)
 class FFunction:
     """Combiner of a distance value and two penalty values, positives to positives."""
@@ -61,6 +71,8 @@ class FFunction:
     label: str
 
     def __call__(self, a, b, c) -> AlgebraElement:
+        if isinstance(a, alg.Rows) or isinstance(b, alg.Rows) or isinstance(c, alg.Rows):
+            return over_rows(self.fn, a, b, c)
         return self.fn(a, b, c)
 
 
@@ -72,7 +84,7 @@ class PhiFunction:
     label: str
 
     def __call__(self, x) -> AlgebraElement:
-        return self.fn(x)
+        return over_rows(self.fn, x) if isinstance(x, Points) else self.fn(x)
 
 
 @dataclass(frozen=True)
@@ -83,22 +95,22 @@ class OperatorSpec:
     label: str
 
     def __call__(self, x):
-        return self.fn(x)
+        return over_rows(self.fn, x) if isinstance(x, Points) else self.fn(x)
 
 
 def sum_combiner() -> FFunction:
-    return FFunction(lambda a, b, c: alg.add(alg.add(a, b), c), "sum")
+    return FFunction(rowwise(lambda a, b, c: a + b + c), "sum")
 
 
 def square_first_combiner() -> FFunction:
     """First argument squared plus the other two. Fails the dominance axiom
     for small positive first arguments; kept as a built-in to exercise that."""
-    return FFunction(lambda a, b, c: alg.add(alg.add(alg.mul(a, a), b), c), "square-first")
+    return FFunction(rowwise(lambda a, b, c: a * a + b + c), "square-first")
 
 
 def zero_phi(kind: alg.Kind, n: int = 1) -> PhiFunction:
     z = alg.zero(kind, n)
-    return PhiFunction(lambda x: z, "zero")
+    return PhiFunction(rowwise(lambda x: z), "zero")
 
 
 _CONSTANTS = ("k", "alpha", "beta", "gamma")
@@ -173,7 +185,8 @@ def _three_weights(s: ContractionSpec) -> None:
 class FamilyRule(NamedTuple):
     check: Callable[[ContractionSpec], None]  # raises InvalidSpecError on bad constants
     rate: Callable[[ContractionSpec], float]  # per-step geometric factor of an orbit
-    rhs: Callable[..., AlgebraElement]  # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed
+    # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed; over elements or alg.Rows
+    rhs: Callable[..., AlgebraElement]
     single_point: bool = False  # sampled at points x, not pairs (x, y)
     stratified: bool = False  # half of the samples put y near T(x)
     partial_rhs: Optional[Callable[..., AlgebraElement]] = None  # rhs in partial mode
@@ -185,7 +198,7 @@ class FamilyRule(NamedTuple):
 _PLAIN = FamilyRule(
     lambda s: _k_below(s, 1, "1"),
     rate=lambda s: s.k,  # s_{n+1} <= k s_n
-    rhs=lambda s, t, r, x, y, Tx, Ty: alg.scale(s.k, t(x, y)),
+    rhs=lambda s, t, r, x, y, Tx, Ty: s.k * t(x, y),
 )
 FAMILIES: dict[str, FamilyRule] = {
     "plain": _PLAIN,
@@ -193,32 +206,29 @@ FAMILIES: dict[str, FamilyRule] = {
     "weak": FamilyRule(
         _k_and_alpha,
         rate=lambda s: s.k,  # the relaxation term vanishes at y = Tx: s_{n+1} <= k s_n
-        rhs=lambda s, t, r, x, y, Tx, Ty: alg.add(
-            alg.scale(s.k, t(x, y)), alg.scale(s.alpha, r(y, Tx))
-        ),
+        rhs=lambda s, t, r, x, y, Tx, Ty: s.k * t(x, y) + s.alpha * r(y, Tx),
         stratified=True,  # the inequality binds near y = Tx
     ),
     "kannan": FamilyRule(
         lambda s: _k_below(s, 0.5, "1/2"),
         rate=lambda s: s.k / (1.0 - s.k),  # s_{n+1} <= k (s_n + s_{n+1})
-        rhs=lambda s, t, r, x, y, Tx, Ty: alg.scale(s.k, alg.add(t(Tx, x), t(Ty, y))),
+        rhs=lambda s, t, r, x, y, Tx, Ty: s.k * (t(Tx, x) + t(Ty, y)),
     ),
     "reich": FamilyRule(
         _three_weights,
         # at (x, y) = (x_{n+1}, x_n): s_{n+1} <= (alpha + gamma) s_n + beta s_{n+1}
         rate=lambda s: (s.alpha + s.gamma) / (1.0 - s.beta),
-        rhs=lambda s, t, r, x, y, Tx, Ty: alg.add(
-            alg.add(alg.scale(s.alpha, t(x, y)), alg.scale(s.beta, t(x, Tx))),
-            alg.scale(s.gamma, t(y, Ty)),
+        rhs=lambda s, t, r, x, y, Tx, Ty: (
+            s.alpha * t(x, y) + s.beta * t(x, Tx) + s.gamma * t(y, Ty)
         ),
     ),
     "chatterjea": FamilyRule(
         lambda s: _k_below(s, 0.5, "1/2"),
         # d(y, Tx) = 0 and d(x, Ty) <= s_n + s_{n+1}: s_{n+1} <= k (s_n + s_{n+1})
         rate=lambda s: s.k / (1.0 - s.k),
-        rhs=lambda s, t, r, x, y, Tx, Ty: alg.scale(s.k, alg.add(r(x, Ty), t(y, Tx))),
+        rhs=lambda s, t, r, x, y, Tx, Ty: s.k * (r(x, Ty) + t(y, Tx)),
         # p(x, Ty) unrelaxed: not the reduced metric form (a FOUND line in CHANGES.md)
-        partial_rhs=lambda s, t, r, x, y, Tx, Ty: alg.scale(s.k, alg.add(t(x, Ty), t(y, Tx))),
+        partial_rhs=lambda s, t, r, x, y, Tx, Ty: s.k * (t(x, Ty) + t(y, Tx)),
     ),
 }
 
@@ -229,7 +239,7 @@ def effective_rate(spec: ContractionSpec) -> float:
     return FAMILIES[spec.family].rate(spec)
 
 
-def _sample_positive(kind: alg.Kind, n: int, rng: np.random.Generator, count: int) -> list:
+def _sample_positive(kind: alg.Kind, n: int, rng: np.random.Generator, count: int) -> alg.Rows:
     """count random positive elements, drawn in the order of one-at-a-time draws."""
     if kind == "scalar":
         data = np.abs(rng.normal(size=count))
@@ -240,7 +250,11 @@ def _sample_positive(kind: alg.Kind, n: int, rng: np.random.Generator, count: in
         g = parts[:, 0] + 1j * parts[:, 1]
         data = (g @ g.conj().swapaxes(-1, -2)) / n
     data.setflags(write=False)
-    return [alg._raw(kind, row) for row in data]
+    return alg.Rows(kind, data)
+
+
+def _rows_concat(kind: alg.Kind, *parts: np.ndarray) -> alg.Rows:
+    return alg.Rows(kind, np.concatenate(parts))
 
 
 def check_F_axioms(
@@ -264,42 +278,44 @@ def check_F_axioms(
 
     # boundary probes (a, theta, theta) sharpen dominance detection at
     # small positive first arguments, then random positive triples
-    triples = [
-        (alg.scale(0.5 / nrm, a), theta, theta)
-        for a in _sample_positive(kind, n, rng, max(4, sample_count // 50))
-        if (nrm := alg.norm(a)) > 0
-    ]
-    fresh = _sample_positive(kind, n, rng, 3 * max(0, sample_count - len(triples)))
-    triples += zip(fresh[0::3], fresh[1::3], fresh[2::3])
+    probes = _sample_positive(kind, n, rng, max(4, sample_count // 50)).data
+    norms = alg.norm_rows(kind, probes)
+    probes, norms = probes[norms > 0], norms[norms > 0]
+    scaled = (0.5 / norms).reshape(-1, *[1] * (probes.ndim - 1)) * probes
+    fresh = _sample_positive(kind, n, rng, 3 * max(0, sample_count - len(scaled))).data
+    zeros = np.zeros((len(scaled), *theta.data.shape), dtype=theta.data.dtype)
+    a, b, c = (_rows_concat(kind, scaled, fresh[0::3]), _rows_concat(kind, zeros, fresh[1::3]),
+               _rows_concat(kind, zeros, fresh[2::3]))
 
-    def dominated(items, kind, a, b, out):
+    def dominated(points, kind, a, b, out):
         ok, _ = alg.positive_rows(kind, np.concatenate([out - a, out - b]))
-        return ok[: len(items)] & ok[len(items) :], out, None
+        return ok[: len(a)] & ok[len(a) :], out, None
 
     def inputs(triple):
         return {"points": {}, "inputs": [alg.element_to_dict(v) for v in triple]}
 
-    report.checks.append(
-        axiom_check("dominance", triples, lambda a, b, c: (a, b, F(a, b, c)), dominated, inputs)
-    )
+    report.checks.append(axiom_check(
+        "dominance", _sliced((a, b, c)), lambda a, b, c: (a, b, F(a, b, c)), dominated, inputs,
+    ))
     report.checks.append(axiom_check(
         "zero-preservation", [(theta,) * 3], lambda a, b, c: (F(a, b, c),), vanishes,
         lambda _: {"points": {}},
     ))
 
-    # empirical continuity modulus: output change per unit input change
+    # empirical continuity modulus: output change per unit input change,
+    # F evaluated at each probed triple and then at its perturbation
     h = 1e-6
-    probed = triples[: min(100, len(triples))]
-    steps = [alg.scale(h, v) for v in _sample_positive(kind, n, rng, 3 * len(probed))]
-    outs = []
-    for i, (a, b, c) in enumerate(probed):
-        da, db, dc = steps[3 * i : 3 * i + 3]
-        outs += [F(a, b, c), F(alg.add(a, da), alg.add(b, db), alg.add(c, dc))]
+    probed = min(100, len(a))
     modulus, failed = 0.0, None
     if probed:
-        _, step = alg.stack(steps)
-        delta_in = alg.norm_rows(kind, step).reshape(len(probed), 3).max(axis=1)
-        _, out = alg.stack(outs)
+        step = h * _sample_positive(kind, n, rng, 3 * probed).data
+        pairs = [np.stack([v.data[:probed], v.data[:probed] + step[i::3]], axis=1)
+                 for i, v in enumerate((a, b, c))]
+        try:
+            out = each_row(F, *(alg.Rows(kind, p.reshape(-1, *p.shape[2:])) for p in pairs)).data
+        except alg.RowFailure as failure:
+            raise failure.error from None
+        delta_in = alg.norm_rows(kind, step).reshape(probed, 3).max(axis=1)
         delta_out = alg.norm_rows(kind, out[1::2] - out[0::2])
         moved = np.flatnonzero(delta_in != 0)
         ratio = delta_out[moved] / delta_in[moved]
@@ -308,9 +324,10 @@ def check_F_axioms(
             failed = moved[bad[0]]
             ratio = ratio[: bad[0]]
         modulus = float(ratio.max(initial=0.0))
-    check = AxiomCheck("continuity", "pass" if failed is None else "fail", len(probed))
+    check = AxiomCheck("continuity", "pass" if failed is None else "fail", probed)
     if failed is not None:
-        check.witness = {"points": {}, "offending": alg.element_to_dict(outs[2 * failed + 1])}
+        check.witness = {"points": {}, "offending": alg.element_to_dict(
+            alg._raw(kind, out[2 * failed + 1]))}
     report.checks.append(check)
     report.continuity_modulus = modulus
     return report
@@ -363,38 +380,70 @@ def inequality_sides(
     x,
     y=None,
 ) -> tuple[AlgebraElement, AlgebraElement]:
-    """Both sides of the family inequality at a sampled point or pair; term is
-    F(d(u, v), phi(u), phi(v)) and relaxed subtracts F(theta, phi(u), phi(v))."""
+    """Both sides of the family inequality at a sampled point or pair, or as
+    alg.Rows over Points; term is F(d(u, v), phi(u), phi(v)) and relaxed
+    subtracts F(theta, phi(u), phi(v))."""
 
     def term(u, v):
         return F(d(u, v), phi(u), phi(v))
 
     def relaxed(u, v):
-        return alg.sub(term(u, v), F(alg.zero(d.kind, d.n), phi(u), phi(v)))
+        return term(u, v) - F(alg.zero(d.kind, d.n), phi(u), phi(v))
 
     return family_sides(spec, T, term, relaxed, x, y)
 
 
+def _pieces(strata: tuple) -> Sample:
+    """The Sample of the items of each (count, draw) stratum in turn."""
+    left = [count for count, _ in strata]
+
+    def draw(size):
+        pieces, error = [], None
+        for i, (_, part) in enumerate(strata):
+            take = min(size, left[i])
+            if take and error is None:
+                columns, error = part(take)
+                left[i] -= take
+                size -= take
+                pieces.append(columns)
+        if len(pieces) == 1:
+            return pieces[0], error
+        return tuple(None if c[0] is None else Points(np.concatenate([p.data for p in c]))
+                     for c in zip(*pieces)), error
+
+    return Sample(sum(left), draw)
+
+
+def _uniform_pairs(domain: Domain, rng: np.random.Generator, single_point: bool):
+    """Draw of uniform (x, y) samples, x then y from rng; y is None for single-point families."""
+
+    def draw(size):
+        if single_point:
+            return (Points(domain.sample_many(rng, size)), None), None
+        pts = domain.sample_many(rng, 2 * size)
+        return (Points(pts[0::2]), Points(pts[1::2])), None
+
+    return draw
+
+
 def uniform_samples(domain: Domain, count: int, rng: np.random.Generator, spec: ContractionSpec):
-    """Lazy stream of count (x, y) domain samples; y is None for single-point families."""
-    single_point = FAMILIES[spec.family].single_point
-    for _ in range(count):
-        x = domain.sample(rng)
-        yield x, (None if single_point else domain.sample(rng))
+    """Sample of count (x, y) domain samples, drawn lazily; y is None for
+    single-point families."""
+    return _pieces(((count, _uniform_pairs(domain, rng, FAMILIES[spec.family].single_point)),))
 
 
 def sample_check(
     inequality: str,
     spec: ContractionSpec,
-    samples: Iterable[tuple],
+    samples,
     sides: Callable[[object, object], tuple[AlgebraElement, AlgebraElement]],
     sample_count: int,
     seed: int,
 ) -> VerificationResult:
-    """Certify lhs <= rhs from sides(x, y) over the (x, y) samples, or stop at
-    the first counterexample (lowest sample index wins); max_slack_norm is the
-    largest norm of rhs - lhs before it."""
-    max_slack, failure = first_failure(samples, lambda s: sides(*s), below)
+    """Certify lhs <= rhs from sides(x, y) over the (x, y) samples (an iterable
+    or a Sample), or stop at the first counterexample (lowest sample index
+    wins); max_slack_norm is the largest norm of rhs - lhs before it."""
+    max_slack, failure = first_failure(samples, sides, below)
     result = VerificationResult(inequality, failure is None, seed, sample_count, max_slack, spec)
     if failure is not None:
         index, (x, y), kind, _, (lhs, rhs) = failure
@@ -424,22 +473,28 @@ def verify_contraction(
     rng = np.random.default_rng(seed)
     rule = FAMILIES[spec.family]
     n_uniform = sample_count - sample_count // 2 if rule.stratified else sample_count
-    samples = itertools.chain(
-        uniform_samples(domain, n_uniform, rng, spec),
-        _jittered_pairs(T, domain, sample_count - n_uniform, rng),
-    )
-    sides = functools.partial(inequality_sides, spec, T, d, phi, F)
+    samples = _pieces((
+        (n_uniform, _uniform_pairs(domain, rng, rule.single_point)),
+        (sample_count - n_uniform, _jittered_pairs(T, domain, rng)),
+    ))
+    sides = rowwise(functools.partial(inequality_sides, spec, T, d, phi, F))
     return sample_check(spec.family, spec, samples, sides, sample_count, seed)
 
 
-def _jittered_pairs(T: OperatorSpec, domain: Domain, count: int, rng: np.random.Generator):
-    """Pairs (x, y) with y a domain point near T(x), for stratified sampling."""
-    for _ in range(count):
-        x = domain.sample(rng)
-        t = np.asarray(T(x), dtype=float)
-        fresh = domain.sample(rng)
-        mixed = t + 0.05 * (np.asarray(fresh, dtype=float) - t)
-        if domain.contains(mixed):
-            yield x, (float(mixed) if mixed.ndim == 0 else mixed)
-        else:
-            yield x, fresh
+def _jittered_pairs(T: OperatorSpec, domain: Domain, rng: np.random.Generator):
+    """Draw of pairs (x, y) with y a domain point near T(x), for stratified
+    sampling: x, then a fresh point from rng moved 95 % of the way to T(x),
+    or the fresh point itself if the moved one is outside the domain."""
+
+    def draw(size):
+        pts = domain.sample_many(rng, 2 * size)
+        rows, t, error = head_evaluated(T, (Points(pts[0::2]),))
+        xs, fresh = pts[0 : 2 * rows : 2], pts[1 : 2 * rows : 2]
+        if rows:
+            t = np.asarray(t.data, dtype=float)
+            mixed = t + 0.05 * (fresh - t)
+            inside = domain.contains_many(mixed).reshape(-1, *[1] * (mixed.ndim - 1))
+            fresh = np.where(inside, mixed, fresh)
+        return (Points(xs), Points(fresh)), error
+
+    return draw

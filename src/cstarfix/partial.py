@@ -28,7 +28,7 @@ from .contractions import (
     uniform_samples,
 )
 from .solver import ConvergenceCertificate, SolveConfig, picard_solve
-from .spaces import Domain, ValuedDistance, induced_metric
+from .spaces import Domain, ValuedDistance, induced_metric, rowwise
 
 __all__ = [
     "PartialProblem",
@@ -62,12 +62,13 @@ def reduce_problem(
 def corollary_sides(
     problem: PartialProblem, x, y=None
 ) -> tuple[AlgebraElement, AlgebraElement]:
-    """Both sides of the corollary inequality, stated directly in p: term is
-    p itself and relaxed(u, v) = p(u, v) - (p(u, u) + p(v, v)) / 2."""
+    """Both sides of the corollary inequality, stated directly in p, at a
+    sampled point or pair, or as alg.Rows over Points: term is p itself and
+    relaxed(u, v) = p(u, v) - (p(u, u) + p(v, v)) / 2."""
     p = problem.p
 
     def relaxed(u, v):
-        return alg.sub(p(u, v), alg.scale(0.5, alg.add(p(u, u), p(v, v))))
+        return p(u, v) - 0.5 * (p(u, u) + p(v, v))
 
     return family_sides(problem.spec, problem.T, p, relaxed, x, y, partial=True)
 
@@ -81,7 +82,7 @@ def verify_corollary_hypothesis(
     """Sample the corollary inequality in p; certificate or first counterexample."""
     rng = np.random.default_rng(seed)
     samples = uniform_samples(domain, sample_count, rng, problem.spec)
-    sides = functools.partial(corollary_sides, problem)
+    sides = rowwise(functools.partial(corollary_sides, problem))
     return sample_check(
         f"partial-{problem.spec.family}", problem.spec, samples, sides, sample_count, seed
     )

@@ -18,7 +18,7 @@ from .contractions import (
     square_first_combiner,
     sum_combiner,
 )
-from .spaces import Box, Domain, Interval, ValuedDistance
+from .spaces import Box, Domain, Interval, ValuedDistance, rowwise
 
 __all__ = [
     "UnknownNameError",
@@ -44,8 +44,47 @@ class NamedSpace:
     domain: Domain
 
 
+# Every entry is written once over numpy arrays: given a point (a float, or
+# an array for box points) it returns that point's value, and given the (N,)
+# or (N, dim) array of a point stack, the (N, ...) stack of values. The
+# helpers build one point's value as plain floats would, since the solver
+# evaluates one point per iteration.
+
+
+def _stacked(parts: tuple) -> bool:
+    for p in parts:
+        if isinstance(p, np.ndarray):
+            return True
+    return False
+
+
+def _entries(*parts) -> np.ndarray:
+    """parts as the entries of vector values, along the last axis."""
+    if not _stacked(parts):
+        return np.array(parts)
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def _diagonal(*entries) -> np.ndarray:
+    """Diagonal matrix values with these entries."""
+    if not _stacked(entries):
+        return np.diag(entries)
+    rows = np.broadcast(*entries).shape
+    out = np.zeros((*rows, len(entries), len(entries)), dtype=complex)
+    for i, e in enumerate(entries):
+        out[..., i, i] = e
+    return out
+
+
+def _larger(s, t):
+    """max(s, t) entry by entry: t where t > s, else s."""
+    if isinstance(s, float) and isinstance(t, float):
+        return max(s, t)
+    return np.where(t > s, t, s)
+
+
 def _max_unit_interval() -> NamedSpace:
-    fn = lambda s, t: alg._raw("scalar", np.asarray(max(s, t), dtype=float))
+    fn = rowwise(lambda s, t: alg.values("scalar", _larger(s, t)))
     return NamedSpace(
         ValuedDistance("scalar", 1, fn, "partial", label="max_unit_interval"),
         Interval(0.0, 1.0),
@@ -54,15 +93,18 @@ def _max_unit_interval() -> NamedSpace:
 
 def _shifted_max_matrix() -> NamedSpace:
     eye = np.eye(2)
-    fn = lambda s, t: alg.matrix(max(1.0 + s, 1.0 + t) * eye)
+
+    def fn(s, t):
+        return alg.values("matrix", np.asarray(_larger(1.0 + s, 1.0 + t))[..., None, None] * eye)
+
     return NamedSpace(
-        ValuedDistance("matrix", 2, fn, "partial", label="shifted_max_matrix"),
+        ValuedDistance("matrix", 2, rowwise(fn), "partial", label="shifted_max_matrix"),
         Interval(0.0, 1.0),
     )
 
 
 def _absdiff_pair() -> NamedSpace:
-    fn = lambda x, y: alg._raw("vector", np.array([abs(x - y), abs(x - y)]))
+    fn = rowwise(lambda x, y: alg.values("vector", _entries(abs(x - y), abs(x - y))))
     return NamedSpace(
         ValuedDistance("vector", 2, fn, "partial", label="absdiff_pair"),
         Interval(0.0, 1.0),
@@ -72,7 +114,7 @@ def _absdiff_pair() -> NamedSpace:
 def _sum_premetric() -> NamedSpace:
     # fails the self-distance-zero metric axiom for x > 0; kept as a
     # premetric so the solver can still run on it
-    fn = lambda x, y: alg._raw("vector", np.array([0.0, x + y]))
+    fn = rowwise(lambda x, y: alg.values("vector", _entries(0.0, x + y)))
     return NamedSpace(
         ValuedDistance("vector", 2, fn, "premetric", label="sum_premetric"),
         Interval(0.0, 1.0),
@@ -81,10 +123,10 @@ def _sum_premetric() -> NamedSpace:
 
 def _diag_absdiff_matrix() -> NamedSpace:
     def fn(a, b):
-        return alg.matrix(np.diag([abs(a[0] - b[0]), abs(a[1] - b[1])]))
+        return alg.values("matrix", _diagonal(abs(a[..., 0] - b[..., 0]), abs(a[..., 1] - b[..., 1])))
 
     return NamedSpace(
-        ValuedDistance("matrix", 2, fn, "metric", label="diag_absdiff_matrix"),
+        ValuedDistance("matrix", 2, rowwise(fn), "metric", label="diag_absdiff_matrix"),
         Box([Interval(-1.0, 1.0), Interval(-1.0, 1.0)]),
     )
 
@@ -99,42 +141,40 @@ SPACES = {
 
 
 def _scale_map(factor: float, label: str) -> OperatorSpec:
-    return OperatorSpec(lambda x: factor * x, label)
+    return OperatorSpec(rowwise(lambda x: factor * x), label)
 
 
 OPERATORS = {
     "halving": lambda: _scale_map(0.5, "halving"),
     "quartering": lambda: _scale_map(0.25, "quartering"),
-    "identity": lambda: OperatorSpec(lambda x: x, "identity"),
+    "identity": lambda: OperatorSpec(rowwise(lambda x: x), "identity"),
 }
 
 
 def _coordinate_pair_phi() -> PhiFunction:
     return PhiFunction(
-        lambda x: alg._raw("vector", np.array([x, x], dtype=float)), "coordinate_pair"
+        rowwise(lambda x: alg.values("vector", _entries(x, x))), "coordinate_pair"
     )
 
 
 def _spread_matrix_phi() -> PhiFunction:
     def fn(x):
-        s = 2.0 * abs(x[0] - x[1])
-        return alg.matrix(np.diag([s, s]))
+        s = 2.0 * abs(x[..., 0] - x[..., 1])
+        return alg.values("matrix", _diagonal(s, s))
 
-    return PhiFunction(fn, "spread_matrix")
+    return PhiFunction(rowwise(fn), "spread_matrix")
 
 
 def _self_max_phi() -> PhiFunction:
-    return PhiFunction(
-        lambda x: alg._raw("scalar", np.asarray(x, dtype=float)), "self_max"
-    )
+    return PhiFunction(rowwise(lambda x: alg.values("scalar", x)), "self_max")
 
 
 PHIS = {
     "coordinate_pair": _coordinate_pair_phi,
     "spread_matrix": _spread_matrix_phi,
     "self_max": _self_max_phi,
-    "zero_scalar": lambda: PhiFunction(lambda x: alg.scalar(0.0), "zero"),
-    "zero_pair": lambda: PhiFunction(lambda x: alg.vector([0.0, 0.0]), "zero"),
+    "zero_scalar": lambda: PhiFunction(rowwise(lambda x: alg.scalar(0.0)), "zero"),
+    "zero_pair": lambda: PhiFunction(rowwise(lambda x: alg.vector([0.0, 0.0])), "zero"),
 }
 
 COMBINERS = {

@@ -6,6 +6,7 @@ no counterexample was found among N deterministic samples, never a proof.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal, Optional, Sequence
@@ -50,8 +51,16 @@ class Interval:
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.lo, self.hi))
 
+    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count points as one (count,) array, the stream of count sample calls."""
+        return rng.uniform(self.lo, self.hi, size=count)
+
     def contains(self, x, slack: float = 1e-12) -> bool:
         return self.lo - slack <= float(x) <= self.hi + slack
+
+    def contains_many(self, xs: np.ndarray, slack: float = 1e-12) -> np.ndarray:
+        """contains of each row of a point stack."""
+        return (self.lo - slack <= xs) & (xs <= self.hi + slack)
 
 
 @dataclass(frozen=True)
@@ -72,11 +81,23 @@ class Box:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return np.array([iv.sample(rng) for iv in self.intervals])
 
+    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count points as one (count, dim) array, the stream of count sample calls."""
+        lo, hi = zip(*((iv.lo, iv.hi) for iv in self.intervals))
+        return rng.uniform(lo, hi, size=(count, self.dim))
+
     def contains(self, x, slack: float = 1e-12) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             return False
         return all(iv.contains(v, slack) for iv, v in zip(self.intervals, x))
+
+    def contains_many(self, xs: np.ndarray, slack: float = 1e-12) -> np.ndarray:
+        """contains of each row of a point stack."""
+        if xs.shape[1:] != (self.dim,):
+            return np.zeros(len(xs), dtype=bool)
+        inside = [iv.contains_many(xs[:, i], slack) for i, iv in enumerate(self.intervals)]
+        return np.logical_and.reduce(inside)
 
 
 Domain = Interval | Box
@@ -88,9 +109,98 @@ def sample_points(domain: Domain, count: int, seed: int) -> list:
     return [domain.sample(rng) for _ in range(count)]
 
 
+class Points:
+    """N domain points as one (N,) or (N, dim) array: the points of a chunk
+    of samples. Callables given Points evaluate every row (see rowwise)."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, rows: slice) -> "Points":
+        return Points(self.data[rows])
+
+    def row(self, i: int):
+        """Row i as a point: a float for interval points, an array for box points."""
+        x = self.data[i]
+        return float(x) if x.ndim == 0 else x
+
+    def rows(self) -> list:
+        return self.data.tolist() if self.data.ndim == 1 else list(self.data)
+
+
+_STACKS = (Points, alg.Rows)
+
+
+def rowwise(fn: Callable) -> Callable:
+    """Mark fn as written over row stacks: where it takes a point or a value it
+    also takes a stack of them and then returns the stack of its results, or
+    one element if the result is the same in every row. The fn of a
+    ValuedDistance, PhiFunction, OperatorSpec or FFunction gets a point stack as
+    its (N,) or (N, dim) array; a scan's evaluate gets the Points themselves.
+    Unmarked callables are evaluated row by row by each_row."""
+    fn.rowwise = True
+    return fn
+
+
+def _stack_results(results: list):
+    """One stack of per-row results: Rows of elements, a tuple of stacks of
+    tuples, Points otherwise. A row whose kind or size differs from row 0's
+    raises RowFailure at that row."""
+    first = results[0]
+    if isinstance(first, tuple):
+        return tuple(_stack_results(list(column)) for column in zip(*results))
+    if not isinstance(first, AlgebraElement):
+        return Points(np.array(results))
+    for i, e in enumerate(results):
+        try:
+            alg._check_compatible(first, e)
+        except alg.DimensionMismatchError as exc:
+            raise alg.RowFailure(i, exc) from None
+    return alg.Rows(first.kind, np.array([e.data for e in results]))
+
+
+def each_row(fn: Callable, *args):
+    """A per-point fn over stacked args, one row at a time: Points give their
+    points, Rows their elements, anything else is the same in every row. The
+    error of the first row that raises is raised as RowFailure at that row."""
+    count = len(next(a for a in args if isinstance(a, _STACKS)))
+    columns = [a.rows() if isinstance(a, Points)
+               else [a.row(i) for i in range(count)] if isinstance(a, alg.Rows)
+               else itertools.repeat(a) for a in args]
+    results, i = [], 0
+    try:
+        for i, row in enumerate(zip(*columns)):
+            results.append(fn(*row))
+    except Exception as exc:
+        raise alg.RowFailure(i, exc) from None
+    return _stack_results(results)
+
+
+def over_rows(fn: Callable, *args):
+    """fn over stacked args: in one call if fn is rowwise, else by each_row.
+    A rowwise fn's value that is the same in every row stays one element."""
+    if not getattr(fn, "rowwise", False):
+        return each_row(fn, *args)
+    out = fn(*[a.data if isinstance(a, Points) else a for a in args])
+    return Points(out) if isinstance(out, np.ndarray) else out
+
+
+def _as_rows(value, count: int) -> alg.Rows:
+    """value as Rows of count rows: an element stands for every row."""
+    if isinstance(value, alg.Rows):
+        return value
+    return alg.Rows(value.kind, np.broadcast_to(value.data, (count, *value.data.shape)))
+
+
 @dataclass(frozen=True)
 class ValuedDistance:
-    """A distance function into the algebra, tagged with its intended axioms."""
+    """A distance function into the algebra, tagged with its intended axioms.
+    Called with Points it returns the Rows of the distances of their rows."""
 
     kind: alg.Kind
     n: int
@@ -99,13 +209,27 @@ class ValuedDistance:
     label: str = ""
 
     def __call__(self, x, y) -> AlgebraElement:
+        if isinstance(x, Points):
+            # a rowwise fn is checked once per stack, any other fn in every row
+            fn = self.fn if getattr(self.fn, "rowwise", False) else self._point
+            value = _as_rows(over_rows(fn, x, y), len(x))
+        else:
+            value = self.fn(x, y)
+        if value.kind != self.kind or value.n != self.n:
+            raise self._mismatch(value)
+        return value
+
+    def _point(self, x, y) -> AlgebraElement:
         value = self.fn(x, y)
         if value.kind != self.kind or value.n != self.n:
-            raise alg.DimensionMismatchError(
-                f"distance {self.label!r} returned {value.kind}(n={value.n}), "
-                f"declared {self.kind}(n={self.n})"
-            )
+            raise self._mismatch(value)
         return value
+
+    def _mismatch(self, value) -> alg.DimensionMismatchError:
+        return alg.DimensionMismatchError(
+            f"distance {self.label!r} returned {value.kind}(n={value.n}), "
+            f"declared {self.kind}(n={self.n})"
+        )
 
 
 @dataclass(frozen=True)
@@ -163,57 +287,159 @@ def _named_points(item: tuple) -> dict:
     return {"points": {k: point_repr(v) for k, v in zip("xyz", item)}}
 
 
-def first_failure(items: Iterable, evaluate: Callable, test: Callable):
-    """(best, failure): the first item failing test, as (index, item, kind,
-    offending row, the item's value rows), or None; best is the largest score
-    before it. Items are pulled lazily in chunks of 1, 2, 4, ...: evaluate(item)
-    gives an item's algebra values, and test(chunk, kind, *columns), columns[j]
-    the row stack of the j-th value, gives (ok, offending, score or None) per row.
+CHUNK_ROWS = 16  # scan chunks grow 1, 2, 4, ... rows up to this size
 
-    A failure at item i evaluates at most 2 i + 1 items. An error from evaluate
-    is raised only if no earlier item of its chunk fails."""
+
+class Sample:
+    """count items drawn chunk by chunk: draw(size) gives the next at most
+    size items as a tuple of columns (Points, alg.Rows, or None where an item
+    has no such point) and the error that cut the chunk short, or None."""
+
+    def __init__(self, count: int, draw: Callable):
+        self.count, self.draw = count, draw
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def _drawn(items: Iterable) -> Callable:
+    """The draw of an iterable of item tuples, pulled lazily."""
     it = iter(items)
-    start, size, best = 0, 1, 0.0
-    while True:
-        chunk, values, error = [], [], None
+
+    def draw(size):
+        chunk, error = [], None
         try:
             for item in itertools.islice(it, size):
-                values.extend(evaluate(item))
                 chunk.append(item)
         except Exception as exc:
             error = exc
-        if chunk:
-            kind, data = alg.stack(values)
-            columns = data.reshape(len(chunk), -1, *data.shape[1:]).swapaxes(0, 1)
-            ok, offending, score = test(chunk, kind, *columns)
+        columns = tuple(
+            None if column[0] is None
+            else alg.Rows(*alg.stack(column)) if isinstance(column[0], AlgebraElement)
+            else Points(np.array(column, dtype=float))
+            for column in zip(*chunk)
+        )
+        return columns, error
+
+    return draw
+
+
+def _count(columns: tuple) -> int:
+    return next((len(c) for c in columns if c is not None), 0)
+
+
+def _slice(columns: tuple, start: int, stop: int) -> tuple:
+    """Rows start to stop of each column."""
+    return tuple(None if c is None else c[start:stop] for c in columns)
+
+
+def _head(columns: tuple, rows: int) -> tuple:
+    return columns if rows == _count(columns) else _slice(columns, 0, rows)
+
+
+def _sliced(columns: tuple) -> Sample:
+    """The Sample of the rows of whole column stacks, in order."""
+    count, drawn = _count(columns), 0
+
+    def draw(size):
+        nonlocal drawn
+        start, drawn = drawn, min(drawn + size, count)
+        return _slice(columns, start, drawn), None
+
+    return Sample(count, draw)
+
+
+def _value_columns(values: tuple, count: int) -> tuple[alg.Kind, np.ndarray]:
+    """Kind and (columns, count, ...) array of an item's values over count
+    rows, which must agree in kind and size."""
+    values = [_as_rows(v, count) for v in values]
+    for v in values:
+        alg._check_compatible(values[0], v)
+    return values[0].kind, np.stack([v.data for v in values])
+
+
+def head_evaluated(fn: Callable, columns: tuple):
+    """(rows, value, error): fn(*columns) over the longest head of the rows
+    that evaluates, and the error of the row after it, or None. When a row
+    raises, the rows before it are evaluated again without it."""
+    rows, error = _count(columns), None
+    while rows:
+        try:
+            return rows, fn(*_head(columns, rows)), error
+        except alg.RowFailure as failure:
+            # each retry drops at least one row
+            rows, error = min(failure.row, rows - 1), failure.error
+        except Exception as exc:
+            rows, error = 0, exc
+    return 0, None, error
+
+
+def first_failure(items, evaluate: Callable, test: Callable):
+    """(best, failure): the first item failing test, as (index, item, kind,
+    offending row, the item's value rows), or None; best is the largest score
+    before it. items is an iterable of item tuples or a Sample; they are drawn
+    lazily in chunks of 1, 2, 4, ... up to CHUNK_ROWS. evaluate(*item) gives an
+    item's algebra values; it gets the chunk's columns in one call if it is
+    rowwise, else each_row gives it one row at a time. test(points, kind,
+    *columns), columns[j] the row stack of the j-th value, gives (ok,
+    offending, score or None) per row.
+
+    A failure at item i evaluates at most 2 i + 1 items. An error from evaluate,
+    or from drawing, is raised only if no earlier item of its chunk fails."""
+    draw = items.draw if isinstance(items, Sample) else _drawn(items)
+    if not getattr(evaluate, "rowwise", False):
+        evaluate = functools.partial(each_row, evaluate)
+    start, size, best = 0, 1, 0.0
+    while True:
+        points, error = draw(size)
+        drawn = _count(points)
+        rows, values, failed = head_evaluated(evaluate, points)
+        error = error if failed is None else failed
+        if rows:
+            points = _head(points, rows)
+            kind, columns = _value_columns(values, rows)
+            ok, offending, score = test(points, kind, *columns)
             bad = np.flatnonzero(~ok)
-            stop = int(bad[0]) if bad.size else len(chunk)
+            stop = int(bad[0]) if bad.size else rows
             if score is not None and stop:
                 best = max(best, float(score[:stop].max()))
             if bad.size:
-                return best, (start + stop, chunk[stop], kind, offending[stop], columns[:, stop])
+                item = tuple(None if c is None else c.row(stop) for c in points)
+                return best, (start + stop, item, kind, offending[stop], columns[:, stop])
         if error is not None:
             raise error
-        if len(chunk) < size:
+        if drawn < size:
             return best, None
         start += size
-        size *= 2
+        size = min(2 * size, CHUNK_ROWS)
 
 
 def axiom_check(
-    axiom: str, items: Sequence[tuple], evaluate: Callable, test: Callable,
-    describe=_named_points,
+    axiom: str, items, evaluate: Callable, test: Callable, describe=_named_points,
 ) -> AxiomCheck:
-    """Verdict of one sampled axiom over items, evaluate(*item) giving an
-    item's algebra values and test as in first_failure. A fail names the
-    first failing item, witnessed by describe(item) and its offending
-    element; otherwise a pass over all items."""
-    _, failure = first_failure(items, lambda item: evaluate(*item), test)
+    """Verdict of one sampled axiom over items (a sequence of item tuples or
+    a Sample), evaluate(*item) giving an item's algebra values and test as in
+    first_failure. A fail names the first failing item, witnessed by
+    describe(item) and its offending element; otherwise a pass over all items."""
+    _, failure = first_failure(items, evaluate, test)
     if failure is None:
         return AxiomCheck(axiom, "pass", len(items))
     _, item, kind, offending, _ = failure
     element = alg.element_to_dict(alg._raw(kind, offending))
     return AxiomCheck(axiom, "fail", len(items), {**describe(item), "offending": element})
+
+
+def _cyclic(pts: np.ndarray, arity: int) -> Sample:
+    """The items (pts[i], pts[i + 1], ...) of arity points, indices mod len(pts)."""
+    n, drawn = len(pts), 0
+
+    def draw(size):
+        nonlocal drawn
+        rows = np.arange(drawn, min(drawn + size, n))
+        drawn += len(rows)
+        return tuple(Points(pts[(rows + j) % n]) for j in range(arity)), None
+
+    return Sample(n, draw)
 
 
 def _check_axioms(
@@ -222,57 +448,57 @@ def _check_axioms(
     """Each (name, arity, terms, test) in order, over cyclically consecutive
     sampled points, pairs or triples; terms are the (i, j) index pairs of the
     distances d(item[i], item[j]) that test is given."""
-    pts = sample_points(domain, sample_count, seed)
-    n = len(pts)
+    pts = domain.sample_many(np.random.default_rng(seed), sample_count)
     checks = []
     for axiom, arity, terms, test in axioms:
-        items = [tuple(pts[(i + j) % n] for j in range(arity)) for i in range(n)]
 
+        @rowwise
         def evaluate(*item, terms=terms):
             return tuple(d(item[i], item[j]) for i, j in terms)
 
-        checks.append(axiom_check(axiom, items, evaluate, test))
+        checks.append(axiom_check(axiom, _cyclic(pts, arity), evaluate, test))
     return checks
 
 
-def below(items, kind, low, high):
+def below(points, kind, low, high):
     """low <= high in the order cone, scored by the norm of high - low."""
     diff = high - low
     ok, norms = alg.positive_rows(kind, diff)
     return ok, diff, norms
 
 
-def _nonnegative(items, kind, dxy):
+def _nonnegative(points, kind, dxy):
     return alg.positive_rows(kind, dxy)[0], dxy, None
 
 
-def _symmetric(items, kind, dxy, dyx):
+def _symmetric(points, kind, dxy, dyx):
     diff = dxy - dyx
     return alg.norm_rows(kind, diff) <= alg._default_eps(alg.norm_rows(kind, dxy)), diff, None
 
 
-def _triangle(items, kind, dxz, dzy, dxy):
-    return below(items, kind, dxy, dxz + dzy)
+def _triangle(points, kind, dxz, dzy, dxy):
+    return below(points, kind, dxy, dxz + dzy)
 
 
-def _partial_triangle(items, kind, dxz, dzy, dzz, dxy):
+def _partial_triangle(points, kind, dxz, dzy, dzz, dxy):
     # the partial triangle is corrected by the middle self-distance
-    return below(items, kind, dxy, dxz + dzy - dzz)
+    return below(points, kind, dxy, dxz + dzy - dzz)
 
 
-def _indistinguishable(items, kind, pxx, pyy, pxy):
+def _indistinguishable(points, kind, pxx, pyy, pxy):
     # converse direction: p(x,x) = p(y,y) = p(x,y) forces x = y
     eps = alg._default_eps(alg.norm_rows(kind, pxy))
     coincide = (alg.norm_rows(kind, pxx - pxy) <= eps) & (alg.norm_rows(kind, pyy - pxy) <= eps)
-    xs, ys = (np.array(pts, dtype=float).reshape(len(items), -1) for pts in zip(*items))
+    xs, ys = (p.data.reshape(len(p), -1) for p in points)
     same_point = np.max(np.abs(xs - ys), axis=1) <= 1e-9
     return ~coincide | same_point, pxy - pxx, None
 
 
-def vanishes(items, kind, v):
-    """v = 0: self-distance zero, and the combiner's zero preservation."""
+def vanishes(points, kind, v):
+    """v = 0: self-distance zero, and the combiner's zero preservation. A row
+    of infinite norm would get an infinite default eps; it does not vanish."""
     norms = alg.norm_rows(kind, v)
-    return norms <= alg._default_eps(norms), v, None
+    return (norms <= alg._default_eps(norms)) & np.isfinite(norms), v, None
 
 
 _PARTIAL_AXIOMS = (

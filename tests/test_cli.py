@@ -195,7 +195,13 @@ class TestSolveCommand:
          # and a string or a bool is not a point
          {"x0": 1.0, "max_iter": 2.9}, {"x0": 1.0, "max_iter": True},
          {"x0": 1.0, "max_iter": "64"}, {"x0": 1.0, "max_iter": float("inf")},
-         {"x0": "1.0"}, {"x0": True}, {"x0": [1.0, "2"]}, {"x0": [1.0, False]}],
+         {"x0": "1.0"}, {"x0": True}, {"x0": [1.0, "2"]}, {"x0": [1.0, False]},
+         # the point's shape must fit the domain: a number for an interval,
+         # a list of dim numbers for a box
+         {"x0": [0.5]}, {"x0": [1.0, 2.0]}, {"x0": []},
+         {"space": "diag_absdiff_matrix", "phi": "spread_matrix", "x0": 1.0},
+         {"space": "diag_absdiff_matrix", "phi": "spread_matrix", "x0": [0.5]},
+         {"space": "diag_absdiff_matrix", "phi": "spread_matrix", "x0": [0.5, 0.5, 0.5]}],
     )
     def test_malformed_x0_or_max_iter_exits_two(self, tmp_path, capsys, setting):
         cfg = write(
@@ -224,6 +230,18 @@ class TestSolveCommand:
              "max_iter": 40},
         )
         assert main(["solve", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"space": "sum_premetric", "phi": "coordinate_pair", "x0": 5.0},
+         {"space": "diag_absdiff_matrix", "phi": "spread_matrix", "x0": [5.0, 0.0]}],
+    )
+    def test_well_shaped_x0_outside_the_domain_exits_one(self, tmp_path, capsys, setting):
+        cfg = write(tmp_path, "s.json",
+                    {"family": "plain", "k": 0.5, "operator": "halving", **setting})
+        assert main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err) == {"error": "orbit left the domain at iteration 0"}
 
 
 _VERIFY = {"family": "plain", "k": 0.5, "space": "sum_premetric", "operator": "halving",
