@@ -7,6 +7,7 @@ the Loewner order. All operations are pure; elements are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -90,10 +91,17 @@ class AlgebraElement:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
         if self.kind == "scalar":
-            arr = np.asarray(float(arr), dtype=float)
-        elif self.kind == "vector":
+            # one float(): every per-point distance value is built here
+            value = float(np.asarray(self.data))
+            if not math.isfinite(value):
+                raise AlgebraError("element data must be finite")
+            arr = np.array(value)
+            arr.setflags(write=False)
+            object.__setattr__(self, "data", arr)
+            return
+        arr = np.asarray(self.data)
+        if self.kind == "vector":
             arr = np.asarray(arr, dtype=float)
             if arr.ndim != 1 or arr.size == 0:
                 raise AlgebraError("vector data must be a nonempty 1-d real array")
@@ -312,12 +320,19 @@ def stack(elements) -> tuple[Kind, np.ndarray]:
 
 
 def norm_rows(kind: Kind, data: np.ndarray) -> np.ndarray:
-    """The norm of each row of a stack; row for row what norm returns."""
+    """The norm of each row of a stack; row for row what norm returns. The
+    SVD does not converge on a non-finite matrix row: as a vector row's, its
+    norm is nan if it holds a nan, else inf."""
     if kind == "scalar":
         return np.abs(data)
     if kind == "vector":
         return np.max(np.abs(data), axis=1)
-    return np.linalg.svd(data, compute_uv=False)[:, 0]
+    finite = np.isfinite(data).all(axis=(1, 2))
+    if finite.all():
+        return np.linalg.svd(data, compute_uv=False)[:, 0]
+    norms = np.where(np.isnan(data).any(axis=(1, 2)), np.nan, np.inf)
+    norms[finite] = norm_rows(kind, data[finite])
+    return norms
 
 
 def _hermitian_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,13 +361,19 @@ def positive_rows(
     infinite default eps, so it is outside the cone."""
     norms = norm_rows(kind, data)
     eps = _resolve_eps(norms, tol)
+    finite = np.isfinite(norms)
     if kind == "scalar":
-        return (data >= -eps) & np.isfinite(norms), norms
+        return (data >= -eps) & finite, norms
     if kind == "vector":
-        return (np.min(data, axis=1) >= -eps) & np.isfinite(norms), norms
+        return (np.min(data, axis=1) >= -eps) & finite, norms
+    if not finite.all():
+        # the SVD and eigvalsh need not converge on such a row
+        ok = np.zeros(len(data), dtype=bool)
+        ok[finite] = positive_rows(kind, data[finite], tol)[0]
+        return ok, norms
     asym, hermitian_part = _hermitian_split(data)
     lowest = np.linalg.eigvalsh(hermitian_part)[:, 0]
-    return (asym <= eps) & (lowest >= -eps) & np.isfinite(norms), norms
+    return (asym <= eps) & (lowest >= -eps), norms
 
 
 def max_asymmetry(a: AlgebraElement) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import algebra as alg
 from .contractions import ContractionSpec, FFunction, OperatorSpec, PhiFunction, effective_rate
-from .spaces import Domain, ValuedDistance, point_repr
+from .spaces import Domain, Points, ValuedDistance, point_repr
 
 __all__ = [
     "SolveConfig",
@@ -75,18 +76,35 @@ def _recorded(n: int) -> bool:
 
 
 def _finite(x) -> bool:
+    if isinstance(x, float):  # an interval point, np.float64 included
+        return math.isfinite(x)
     return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
+
+
+def _next(T: OperatorSpec, x, n: int, domain: Optional[Domain]):
+    """The iterate T(x) at step n, finite and in the domain. A non-finite
+    iterate is reported as such even when it is also outside the domain."""
+    x_next = T(x)
+    if not _finite(x_next):
+        raise NonFiniteOrbitError(n)
+    if domain is not None and not domain.contains(x_next):
+        raise OrbitEscapeError(n, x_next)
+    return x_next
 
 
 @dataclass
 class ConvergenceCertificate:
-    """Iteration trace with per-step a-priori bounds and final residuals."""
+    """Iteration trace with per-step a-priori bounds and final residuals.
 
-    iterates: list
+    The trace columns iterates, step_norms, apriori_bounds and phi_residuals
+    are float64 arrays, one row per recorded index; iterates of box points
+    are an (N, dim) array."""
+
+    iterates: np.ndarray
     recorded_indices: list
-    step_norms: list
-    apriori_bounds: list
-    phi_residuals: list
+    step_norms: np.ndarray
+    apriori_bounds: np.ndarray
+    phi_residuals: np.ndarray
     z: object
     residual_fixed: float
     residual_phi: float
@@ -111,12 +129,7 @@ class ConvergenceCertificate:
                     "apriori_bound": b,
                     "phi_residual": q,
                 }
-                for n, s, b, q in zip(
-                    self.recorded_indices,
-                    self.step_norms,
-                    self.apriori_bounds,
-                    self.phi_residuals,
-                )
+                for n, s, b, q in zip(self.recorded_indices, *self._columns())
             ],
         }
 
@@ -124,11 +137,13 @@ class ConvergenceCertificate:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n", "step_norm", "apriori_bound", "phi_residual"])
-        for n, s, b, q in zip(
-            self.recorded_indices, self.step_norms, self.apriori_bounds, self.phi_residuals
-        ):
+        for n, s, b, q in zip(self.recorded_indices, *self._columns()):
             writer.writerow([n, repr(s), repr(b), repr(q)])
         return buf.getvalue()
+
+    def _columns(self) -> tuple:
+        """The norm columns of the trace as lists of Python floats."""
+        return self.step_norms.tolist(), self.apriori_bounds.tolist(), self.phi_residuals.tolist()
 
 
 def picard_solve(
@@ -144,7 +159,7 @@ def picard_solve(
     if cfg.domain is not None and not cfg.domain.contains(x):
         raise OrbitEscapeError(0, x)
 
-    x_next = T(x)
+    x_next = _next(T, x, 0, cfg.domain)
     f0 = F(d(x_next, x), phi(x_next), phi(x))
     bound = alg.norm(f0) / (1.0 - rate)
 
@@ -153,11 +168,7 @@ def picard_solve(
     n = 0
     for n in range(cfg.max_iter):
         if n:  # the first iterate T(x0) is already known
-            x_next = T(x)
-        if not _finite(x_next):
-            raise NonFiniteOrbitError(n)
-        if cfg.domain is not None and not cfg.domain.contains(x_next):
-            raise OrbitEscapeError(n, x_next)
+            x_next = _next(T, x, n, cfg.domain)
         step_norm = alg.norm(d(x_next, x))
         if _recorded(n):
             iterates.append(x)
@@ -175,11 +186,11 @@ def picard_solve(
     residual_fixed = alg.norm(d(z, T(z)))
     residual_phi = alg.norm(phi(z))
     return ConvergenceCertificate(
-        iterates=iterates,
+        iterates=np.array(iterates, dtype=float),
         recorded_indices=indices,
-        step_norms=steps,
-        apriori_bounds=bounds,
-        phi_residuals=phis,
+        step_norms=np.array(steps),
+        apriori_bounds=np.array(bounds),
+        phi_residuals=np.array(phis),
         z=z,
         residual_fixed=residual_fixed,
         residual_phi=residual_phi,
@@ -218,7 +229,8 @@ def bound_audit(
         raise SolverError("bound audit requires a converged certificate")
     rows = []
     max_violation = -np.inf
-    for x, n, bound in zip(cert.iterates, cert.recorded_indices, cert.apriori_bounds):
+    points, bounds = Points(cert.iterates).rows(), cert.apriori_bounds.tolist()
+    for x, n, bound in zip(points, cert.recorded_indices, bounds):
         actual = alg.norm(d(x, cert.z))
         violation = actual - bound
         max_violation = max(max_violation, violation)

@@ -209,6 +209,44 @@ def test_matrix_serial_field_names():
     assert d["kind"] == "matrix" and d["n"] == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scalar_rejected(bad):
+    for build in (
+        lambda: alg.scalar(bad),
+        lambda: alg.AlgebraElement("scalar", bad),
+        lambda: alg.AlgebraElement("scalar", np.float64(bad)),
+        lambda: alg.AlgebraElement("scalar", np.asarray(bad)),
+        lambda: alg.element_from_dict({"kind": "scalar", "value": bad}),
+    ):
+        with pytest.raises(alg.AlgebraError, match="element data must be finite"):
+            build()
+
+
+def _ref_scalar_data(value) -> np.ndarray:
+    """The scalar data as the general constructor path built it."""
+    arr = np.asarray(float(np.asarray(value)), dtype=float).copy()
+    arr.setflags(write=False)
+    return arr
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _finite_floats,
+    _finite_floats.map(np.float64),
+    _finite_floats.map(np.asarray),
+    st.integers(-(2**53), 2**53),
+))
+def test_scalar_fast_path_matches_general_construction(value):
+    ref = _ref_scalar_data(value)
+    for e in (alg.scalar(value), alg.AlgebraElement("scalar", value)):
+        assert e.data.dtype == np.float64 and e.data.shape == ()
+        assert e.data.tobytes() == ref.tobytes()
+        assert not e.data.flags.writeable
+
+
 # Reference copy of the SVD-based matrix order cone the algebra module used
 # before exactly Hermitian operands skipped the asymmetry SVD. The fast paths
 # must agree with it bit for bit.

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -16,6 +18,7 @@ from cstarfix.contractions import (
 )
 from cstarfix.registry import get_combiner, get_operator, get_phi, get_space
 from cstarfix.solver import (
+    NonFiniteOrbitError,
     OrbitEscapeError,
     SolveConfig,
     SolverError,
@@ -24,7 +27,7 @@ from cstarfix.solver import (
     picard_solve,
     uniqueness_probe,
 )
-from cstarfix.spaces import Interval, ValuedDistance
+from cstarfix.spaces import Box, Interval, ValuedDistance
 
 
 def sum_premetric_problem():
@@ -178,6 +181,63 @@ class TestPicardSolve:
             SolveConfig(x0=0.0, max_iter=0)
 
 
+def interval_problem(distance):
+    """A scalar user distance built on alg.scalar, or a registry distance."""
+    if distance == "user":
+        return abs_metric(), zero_phi("scalar")
+    return get_space("sum_premetric").distance, get_phi("coordinate_pair")
+
+
+def box_problem():
+    space = get_space("diag_absdiff_matrix")
+    return space.distance, get_phi("spread_matrix"), space.domain
+
+
+class TestNonFiniteOrbit:
+    """An iterate that overflows or turns NaN ends the solve with
+    NonFiniteOrbitError at its step, before any distance is taken to it, and
+    is reported as such although it is also outside the domain."""
+
+    @staticmethod
+    def solve(T, d, phi, x0, domain):
+        return picard_solve(
+            T, d, phi, sum_combiner(), ContractionSpec("plain", k=0.5),
+            SolveConfig(x0=x0, tol=1e-10, domain=domain),
+        )
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("distance", ["user", "registry"])
+    @pytest.mark.parametrize("x0, step", [(0.2, 0), (0.5, 1)])
+    def test_interval_orbit(self, bad, distance, x0, step):
+        # halves above 0.3, then jumps to a non-finite point
+        T = OperatorSpec(lambda x: 0.5 * x if x > 0.3 else bad * x, "breaks")
+        d, phi = interval_problem(distance)
+        with pytest.raises(NonFiniteOrbitError) as exc:
+            self.solve(T, d, phi, x0, Interval(0.0, 1.0))
+        assert exc.value.index == step
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("x0, step", [([0.2, -0.1], 0), ([0.5, -0.25], 1)])
+    def test_box_orbit(self, bad, x0, step):
+        T = OperatorSpec(lambda x: 0.5 * x if x[0] > 0.3 else bad * x, "breaks")
+        d, phi, domain = box_problem()
+        with pytest.raises(NonFiniteOrbitError) as exc:
+            self.solve(T, d, phi, np.array(x0), domain)
+        assert exc.value.index == step
+
+    def test_escape_on_first_step_precedes_envelope(self):
+        # the distance is never taken to a point outside the domain
+        def inside_only(x, y):
+            assert -1.0 <= x <= 1.0 and -1.0 <= y <= 1.0
+            return alg.scalar(abs(x - y))
+
+        d = ValuedDistance("scalar", 1, inside_only, "metric")
+        T = OperatorSpec(lambda x: 4.0 * x, "quadrupling")
+        with pytest.raises(OrbitEscapeError) as exc:
+            self.solve(T, d, zero_phi("scalar"), 0.5, Interval(-1.0, 1.0))
+        assert exc.value.index == 0 and exc.value.point == 2.0
+
+
 class TestCertify:
     def test_origin_is_phi_fixed(self):
         prob = sum_premetric_problem()
@@ -262,6 +322,109 @@ class TestBoundAudit:
         )
         with pytest.raises(SolverError):
             bound_audit(cert, prob["d"])
+
+
+# Reference copy of the certificate serialisation over list-backed trace
+# columns of Python floats. The array-backed certificate must give the same
+# bytes.
+
+
+def _ref_trace(cert):
+    return (
+        list(cert.recorded_indices),
+        [float(v) for v in cert.step_norms],
+        [float(v) for v in cert.apriori_bounds],
+        [float(v) for v in cert.phi_residuals],
+    )
+
+
+def _ref_to_dict(cert) -> dict:
+    indices, steps, bounds, phis = _ref_trace(cert)
+    return {
+        "converged": cert.converged,
+        "iterations": cert.iterations,
+        "z": float(cert.z) if np.ndim(cert.z) == 0 else [float(v) for v in cert.z],
+        "residual_fixed": cert.residual_fixed,
+        "residual_phi": cert.residual_phi,
+        "rate_used": cert.rate_used,
+        "weak_bounds": cert.weak_bounds,
+        "trace": [
+            {"n": n, "step_norm": s, "apriori_bound": b, "phi_residual": q}
+            for n, s, b, q in zip(indices, steps, bounds, phis)
+        ],
+    }
+
+
+def _ref_to_csv(cert) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "step_norm", "apriori_bound", "phi_residual"])
+    for n, s, b, q in zip(*_ref_trace(cert)):
+        writer.writerow([n, repr(s), repr(b), repr(q)])
+    return buf.getvalue()
+
+
+def slow_orbit():
+    """T x = 0.99 x from 0.9: a long orbit whose trace is recorded sparsely."""
+    d = abs_metric()
+    cert = picard_solve(
+        OperatorSpec(lambda x: 0.99 * x, "slow"), d, zero_phi("scalar"), sum_combiner(),
+        ContractionSpec("plain", k=0.99), SolveConfig(x0=0.9, tol=1e-10, max_iter=10_000),
+    )
+    return cert, d
+
+
+class TestCertificateOutput:
+    def certificates(self):
+        prob = sum_premetric_problem()
+        space = get_space("diag_absdiff_matrix")
+        return [
+            slow_orbit()[0],
+            picard_solve(
+                prob["T"], prob["d"], prob["phi"], prob["F"], prob["spec"],
+                SolveConfig(x0=1.0, tol=1e-10),
+            ),
+            picard_solve(
+                get_operator("halving"), space.distance, get_phi("spread_matrix"),
+                sum_combiner(), ContractionSpec("plain", k=0.5),
+                SolveConfig(x0=np.array([1.0, -0.5]), tol=1e-10, domain=space.domain),
+            ),
+        ]
+
+    def test_trace_columns_are_float64_arrays(self):
+        for cert in self.certificates():
+            rows = len(cert.recorded_indices)
+            for column in (cert.step_norms, cert.apriori_bounds, cert.phi_residuals):
+                assert column.dtype == np.float64 and column.shape == (rows,)
+            assert cert.iterates.dtype == np.float64 and len(cert.iterates) == rows
+            assert all(type(n) is int for n in cert.recorded_indices)
+
+    def test_serialisation_matches_list_backed_reference(self):
+        for cert in self.certificates():
+            assert json.dumps(cert.to_dict()) == json.dumps(_ref_to_dict(cert))
+            text = cert.to_csv()
+            assert text == _ref_to_csv(cert)
+            assert "np.float64(" not in text
+
+    def test_sparse_trace_audit_rows(self):
+        cert, d = slow_orbit()
+        assert cert.converged and cert.iterations > 1000
+        indices = cert.recorded_indices
+        assert indices[:65] == list(range(65))
+        assert indices[65:] == list(range(128, cert.iterations, 64))
+        audit = bound_audit(cert, d)
+        assert audit["passed"]
+        _, _, bounds, _ = _ref_trace(cert)
+        iterates = [float(x) for x in cert.iterates]
+        want = []
+        for x, n, bound in zip(iterates, indices, bounds):
+            actual = alg.norm(d(x, cert.z))
+            want.append({"n": n, "actual": actual, "bound": bound, "violation": actual - bound})
+        assert audit["rows"] == want
+        assert json.dumps(audit["rows"]) == json.dumps(want)
+        for row in audit["rows"]:
+            assert type(row["n"]) is int
+            assert all(type(row[k]) is float for k in ("actual", "bound", "violation"))
 
 
 class TestUniquenessProbe:

@@ -324,10 +324,31 @@ def test_non_finite_combiner_output_fails_dominance_and_zero_preservation():
         assert checks[axiom].witness["offending"]["values"] == [np.inf, -100.0]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_non_finite_matrix_combiner_output_fails_every_F_axiom():
+    value = np.array([[np.inf, 0.0], [0.0, -100.0]], dtype=complex)
+    F = FFunction(lambda a, b, c: alg._raw("matrix", value), "inf")
+    report = check_F_axioms(F, "matrix", 2, 100, seed=0)
+    assert [(c.axiom, c.verdict) for c in report.checks] == [
+        ("dominance", "fail"), ("zero-preservation", "fail"), ("continuity", "fail")]
+    for check in report.checks:
+        assert check.witness["offending"]["re"] == value.real.tolist()
+
+
 def test_non_finite_rows_are_outside_the_cone():
     ok, _ = alg.positive_rows("vector", np.array([[np.inf, -5.0], [1.0, 2.0]]))
     assert ok.tolist() == [False, True]
     ok, _ = alg.positive_rows("scalar", np.array([np.inf, 1.0]))
+    assert ok.tolist() == [False, True]
+    eye, inf, nan = np.eye(2), np.inf, np.nan
+    ok, norms = alg.positive_rows(
+        "matrix", np.array([[[inf, 0], [0, 1]], eye, [[1, nan], [nan, 1]], -eye], dtype=complex))
+    assert ok.tolist() == [False, True, False, False]
+    # as for vectors, a row holding a nan has norm nan, any other non-finite row inf
+    assert np.array_equal(norms, [inf, 1.0, nan, 1.0], equal_nan=True)
+    ok, _ = alg.positive_rows("matrix", np.array([[[inf, 0], [0, 1]]], dtype=complex))
+    assert ok.tolist() == [False]
+    ok, _, _ = spaces.vanishes(None, "matrix", np.array([[[inf, 0], [0, 1]], 0 * eye]))
     assert ok.tolist() == [False, True]
     ok, _, _ = spaces.vanishes(None, "vector", np.array([[np.inf, -100.0], [0.0, 0.0]]))
     assert ok.tolist() == [False, True]
