@@ -3,6 +3,12 @@
 Three carriers are supported: real scalars, real n-vectors under
 componentwise multiplication and order, and complex n x n matrices under
 the Loewner order. All operations are pure; elements are immutable.
+
+An element may also hold a stack of rows: data with one leading axis more
+than its kind's rank, such as the values of a chunk of samples. add, sub,
+mul and scale then act row by row, an unstacked operand standing for the
+same element in every row. The public constructors build single elements
+only; stacks come from values, stack and freshly computed arrays.
 """
 
 from __future__ import annotations
@@ -83,9 +89,13 @@ class OrderTolerance:
             raise AlgebraError("tolerance eps must be nonnegative")
 
 
+_RANK = {"scalar": 0, "vector": 1, "matrix": 2}
+
+
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """A member of the algebra: the carrier of all metric values."""
+    """A member of the algebra: the carrier of all metric values, or a stack
+    of members of one kind and size (see stacked)."""
 
     kind: Kind
     data: np.ndarray = field(repr=False)
@@ -93,7 +103,10 @@ class AlgebraElement:
     def __post_init__(self):
         if self.kind == "scalar":
             # one float(): every per-point distance value is built here
-            value = float(np.asarray(self.data))
+            try:
+                value = float(np.asarray(self.data))
+            except TypeError:
+                raise AlgebraError("scalar data must be a real number") from None
             if not math.isfinite(value):
                 raise AlgebraError("element data must be finite")
             arr = np.array(value)
@@ -119,22 +132,33 @@ class AlgebraElement:
 
     @property
     def n(self) -> int:
-        if self.kind == "scalar":
-            return 1
-        return self.data.shape[0]
+        return 1 if self.kind == "scalar" else self.data.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        """Whether data holds a stack of rows along a leading axis."""
+        return self.data.ndim > _RANK[self.kind]
+
+    def __getitem__(self, rows: int | slice) -> "AlgebraElement":
+        """Row i of a stack as an element, or a slice of its rows as a stack."""
+        return _raw(self.kind, self.data[rows])
+
+    row = __getitem__
+
+    # not a sequence, though it has __getitem__; with no __len__, bool() stays True
+    __iter__ = None
 
     # numpy scalars hand their products with elements to __rmul__
     __array_ufunc__ = None
 
-    # with a Rows operand, the Rows method of the reflected operation answers
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return NotImplemented if isinstance(other, Rows) else add(self, other)
+        return add(self, other)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return NotImplemented if isinstance(other, Rows) else sub(self, other)
+        return sub(self, other)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return NotImplemented if isinstance(other, Rows) else mul(self, other)
+        return mul(self, other)
 
     def __rmul__(self, t: float) -> "AlgebraElement":
         return scale(t, self)
@@ -160,77 +184,20 @@ class RowFailure(Exception):
         self.row, self.error = row, error
 
 
-class Rows:
-    """N elements of one kind and size as one (N,), (N, n) or (N, n, n) array:
-    the values of a chunk of samples. Arithmetic is row by row, with the
-    operations and checks of the element functions; an AlgebraElement operand
-    stands for the same element in every row."""
-
-    __slots__ = ("kind", "data")
-    __array_ufunc__ = None
-
-    def __init__(self, kind: Kind, data: np.ndarray):
-        self.kind, self.data = kind, data
-
-    @property
-    def n(self) -> int:
-        return 1 if self.kind == "scalar" else self.data.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __getitem__(self, rows: slice) -> "Rows":
-        return Rows(self.kind, self.data[rows])
-
-    def row(self, i: int) -> AlgebraElement:
-        return _raw(self.kind, self.data[i])
-
-    def _apply(self, op, a, b) -> "Rows":
-        _check_compatible(a, b)
-        return Rows(self.kind, op(a.data, b.data))
-
-    def _times(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b if self.kind == "matrix" else a * b
-
-    def __add__(self, other) -> "Rows":
-        return self._apply(np.add, self, other)
-
-    def __radd__(self, other) -> "Rows":
-        return self._apply(np.add, other, self)
-
-    def __sub__(self, other) -> "Rows":
-        return self._apply(np.subtract, self, other)
-
-    def __rsub__(self, other) -> "Rows":
-        return self._apply(np.subtract, other, self)
-
-    def __mul__(self, other) -> "Rows":
-        return self._apply(self._times, self, other)
-
-    def __rmul__(self, other) -> "Rows":
-        if isinstance(other, AlgebraElement):
-            return self._apply(self._times, other, self)
-        return Rows(self.kind, float(other) * self.data)
-
-
-_RANK = {"scalar": 0, "vector": 1, "matrix": 2}
-
-
-def values(kind: Kind, data) -> "AlgebraElement | Rows":
-    """The element of freshly computed data, or the Rows of data with a
-    leading row axis. Matrix data are cast to complex and must be finite, as
-    matrix() requires; a non-finite row of a stack raises RowFailure at that
-    row. Real data are taken as they are, as _raw takes them."""
+def values(kind: Kind, data) -> AlgebraElement:
+    """The element, or the stack of elements, of freshly computed data.
+    Matrix data are cast to complex and must be finite, as matrix() requires;
+    a non-finite row of a stack raises RowFailure at that row. Real data are
+    taken as they are, as _raw takes them."""
     if kind != "matrix":
-        data = np.asarray(data, dtype=float)
-        return _raw(kind, data) if data.ndim == _RANK[kind] else Rows(kind, data)
+        return _raw(kind, np.asarray(data, dtype=float))
     if np.ndim(data) == 2:
         return matrix(data)
     data = np.asarray(data, dtype=complex)
     finite = np.isfinite(data).all(axis=(1, 2))
     if not finite.all():
         raise RowFailure(int(np.argmin(finite)), AlgebraError("element data must be finite"))
-    return Rows(kind, data)
+    return _raw(kind, data)
 
 
 def scalar(value: float) -> AlgebraElement:
@@ -307,8 +274,8 @@ def _resolve_eps(norms, tol: OrderTolerance | None):
     return _default_eps(norms) if tol is None else tol.eps
 
 
-def stack(elements) -> tuple[Kind, np.ndarray]:
-    """Kind and (N,), (N, n) or (N, n, n) row stack of elements of one kind and size."""
+def stack(elements) -> AlgebraElement:
+    """The stacked element of the rows elements, all of one kind and size."""
     first = elements[0]
     kind, shape = first.kind, first.data.shape
     for e in elements:
@@ -316,7 +283,7 @@ def stack(elements) -> tuple[Kind, np.ndarray]:
             raise DimensionMismatchError(
                 f"incompatible operands: {first.kind}(n={first.n}) vs {e.kind}(n={e.n})"
             )
-    return kind, np.array([e.data for e in elements])
+    return _raw(kind, np.array([e.data for e in elements]))
 
 
 def norm_rows(kind: Kind, data: np.ndarray) -> np.ndarray:

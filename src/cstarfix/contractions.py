@@ -59,8 +59,8 @@ class InvalidSpecError(ValueError):
     """Contraction constants outside their validity range."""
 
 
-# Called with stacks (Points, or alg.Rows for values), the three callables
-# below evaluate every row: in one call if fn is rowwise, else row by row.
+# Called with stacks (Points, or stacked elements), the three callables below
+# evaluate every row: in one call if fn is rowwise, else row by row.
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,9 @@ class FFunction:
     label: str
 
     def __call__(self, a, b, c) -> AlgebraElement:
-        if isinstance(a, alg.Rows) or isinstance(b, alg.Rows) or isinstance(c, alg.Rows):
-            return over_rows(self.fn, a, b, c)
+        # a rowwise fn takes stacks as they are; testing it first keeps per-point calls cheap
+        if not getattr(self.fn, "rowwise", False) and (a.stacked or b.stacked or c.stacked):
+            return each_row(self.fn, a, b, c)
         return self.fn(a, b, c)
 
 
@@ -185,7 +186,7 @@ def _three_weights(s: ContractionSpec) -> None:
 class FamilyRule(NamedTuple):
     check: Callable[[ContractionSpec], None]  # raises InvalidSpecError on bad constants
     rate: Callable[[ContractionSpec], float]  # per-step geometric factor of an orbit
-    # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed; over elements or alg.Rows
+    # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed; over elements or stacks
     rhs: Callable[..., AlgebraElement]
     single_point: bool = False  # sampled at points x, not pairs (x, y)
     stratified: bool = False  # half of the samples put y near T(x)
@@ -239,8 +240,9 @@ def effective_rate(spec: ContractionSpec) -> float:
     return FAMILIES[spec.family].rate(spec)
 
 
-def _sample_positive(kind: alg.Kind, n: int, rng: np.random.Generator, count: int) -> alg.Rows:
-    """count random positive elements, drawn in the order of one-at-a-time draws."""
+def _sample_positive(kind: alg.Kind, n: int, rng: np.random.Generator, count: int):
+    """The stack of count random positive elements, drawn in the order of
+    one-at-a-time draws."""
     if kind == "scalar":
         data = np.abs(rng.normal(size=count))
     elif kind == "vector":
@@ -250,11 +252,7 @@ def _sample_positive(kind: alg.Kind, n: int, rng: np.random.Generator, count: in
         g = parts[:, 0] + 1j * parts[:, 1]
         data = (g @ g.conj().swapaxes(-1, -2)) / n
     data.setflags(write=False)
-    return alg.Rows(kind, data)
-
-
-def _rows_concat(kind: alg.Kind, *parts: np.ndarray) -> alg.Rows:
-    return alg.Rows(kind, np.concatenate(parts))
+    return alg._raw(kind, data)
 
 
 def check_F_axioms(
@@ -284,8 +282,8 @@ def check_F_axioms(
     scaled = (0.5 / norms).reshape(-1, *[1] * (probes.ndim - 1)) * probes
     fresh = _sample_positive(kind, n, rng, 3 * max(0, sample_count - len(scaled))).data
     zeros = np.zeros((len(scaled), *theta.data.shape), dtype=theta.data.dtype)
-    a, b, c = (_rows_concat(kind, scaled, fresh[0::3]), _rows_concat(kind, zeros, fresh[1::3]),
-               _rows_concat(kind, zeros, fresh[2::3]))
+    a, b, c = (alg._raw(kind, np.concatenate([head, fresh[i::3]]))
+               for i, head in enumerate((scaled, zeros, zeros)))
 
     def dominated(points, kind, a, b, out):
         ok, _ = alg.positive_rows(kind, np.concatenate([out - a, out - b]))
@@ -305,14 +303,14 @@ def check_F_axioms(
     # empirical continuity modulus: output change per unit input change,
     # F evaluated at each probed triple and then at its perturbation
     h = 1e-6
-    probed = min(100, len(a))
+    probed = min(100, len(a.data))
     modulus, failed = 0.0, None
     if probed:
         step = h * _sample_positive(kind, n, rng, 3 * probed).data
         pairs = [np.stack([v.data[:probed], v.data[:probed] + step[i::3]], axis=1)
                  for i, v in enumerate((a, b, c))]
         try:
-            out = each_row(F, *(alg.Rows(kind, p.reshape(-1, *p.shape[2:])) for p in pairs)).data
+            out = each_row(F, *(alg._raw(kind, p.reshape(-1, *p.shape[2:])) for p in pairs)).data
         except alg.RowFailure as failure:
             raise failure.error from None
         delta_in = alg.norm_rows(kind, step).reshape(probed, 3).max(axis=1)
@@ -381,7 +379,7 @@ def inequality_sides(
     y=None,
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Both sides of the family inequality at a sampled point or pair, or as
-    alg.Rows over Points; term is F(d(u, v), phi(u), phi(v)) and relaxed
+    stacks over Points; term is F(d(u, v), phi(u), phi(v)) and relaxed
     subtracts F(theta, phi(u), phi(v))."""
 
     def term(u, v):

@@ -63,7 +63,7 @@ def corollary_sides(
     problem: PartialProblem, x, y=None
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Both sides of the corollary inequality, stated directly in p, at a
-    sampled point or pair, or as alg.Rows over Points: term is p itself and
+    sampled point or pair, or as stacks over Points: term is p itself and
     relaxed(u, v) = p(u, v) - (p(u, u) + p(v, v)) / 2."""
     p = problem.p
 

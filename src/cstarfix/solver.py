@@ -269,7 +269,8 @@ def uniqueness_probe(
                 )
             )
         except SolverError as exc:
-            raise SolverError(f"solve from start #{i} failed: {exc}") from exc
+            exc.add_note(f"in the solve from start #{i}")
+            raise
     pairwise = []
     all_close = True
     for i in range(len(certs)):

@@ -133,9 +133,6 @@ class Points:
         return self.data.tolist() if self.data.ndim == 1 else list(self.data)
 
 
-_STACKS = (Points, alg.Rows)
-
-
 def rowwise(fn: Callable) -> Callable:
     """Mark fn as written over row stacks: where it takes a point or a value it
     also takes a stack of them and then returns the stack of its results, or
@@ -148,9 +145,9 @@ def rowwise(fn: Callable) -> Callable:
 
 
 def _stack_results(results: list):
-    """One stack of per-row results: Rows of elements, a tuple of stacks of
-    tuples, Points otherwise. A row whose kind or size differs from row 0's
-    raises RowFailure at that row."""
+    """One stack of per-row results: the stacked element of elements, a
+    tuple of stacks of tuples, Points otherwise. A row whose kind or size
+    differs from row 0's raises RowFailure at that row."""
     first = results[0]
     if isinstance(first, tuple):
         return tuple(_stack_results(list(column)) for column in zip(*results))
@@ -161,16 +158,17 @@ def _stack_results(results: list):
             alg._check_compatible(first, e)
         except alg.DimensionMismatchError as exc:
             raise alg.RowFailure(i, exc) from None
-    return alg.Rows(first.kind, np.array([e.data for e in results]))
+    return alg._raw(first.kind, np.array([e.data for e in results]))
 
 
 def each_row(fn: Callable, *args):
     """A per-point fn over stacked args, one row at a time: Points give their
-    points, Rows their elements, anything else is the same in every row. The
-    error of the first row that raises is raised as RowFailure at that row."""
-    count = len(next(a for a in args if isinstance(a, _STACKS)))
+    points, stacked elements their rows, anything else is the same in every
+    row. The error of the first row that raises is raised as RowFailure at
+    that row."""
     columns = [a.rows() if isinstance(a, Points)
-               else [a.row(i) for i in range(count)] if isinstance(a, alg.Rows)
+               else [a.row(i) for i in range(len(a.data))]
+               if isinstance(a, AlgebraElement) and a.stacked
                else itertools.repeat(a) for a in args]
     results, i = [], 0
     try:
@@ -190,17 +188,17 @@ def over_rows(fn: Callable, *args):
     return Points(out) if isinstance(out, np.ndarray) else out
 
 
-def _as_rows(value, count: int) -> alg.Rows:
-    """value as Rows of count rows: an element stands for every row."""
-    if isinstance(value, alg.Rows):
+def _as_rows(value: AlgebraElement, count: int) -> AlgebraElement:
+    """value as a stack of count rows: an unstacked element stands for every row."""
+    if value.stacked:
         return value
-    return alg.Rows(value.kind, np.broadcast_to(value.data, (count, *value.data.shape)))
+    return alg._raw(value.kind, np.broadcast_to(value.data, (count, *value.data.shape)))
 
 
 @dataclass(frozen=True)
 class ValuedDistance:
     """A distance function into the algebra, tagged with its intended axioms.
-    Called with Points it returns the Rows of the distances of their rows."""
+    Called with Points it returns the stack of the distances of their rows."""
 
     kind: alg.Kind
     n: int
@@ -212,7 +210,7 @@ class ValuedDistance:
         if isinstance(x, Points):
             # a rowwise fn is checked once per stack, any other fn in every row
             fn = self.fn if getattr(self.fn, "rowwise", False) else self._point
-            value = _as_rows(over_rows(fn, x, y), len(x))
+            value = _as_rows(over_rows(fn, x, y), len(x.data))
         else:
             value = self.fn(x, y)
         if value.kind != self.kind or value.n != self.n:
@@ -292,8 +290,8 @@ CHUNK_ROWS = 16  # scan chunks grow 1, 2, 4, ... rows up to this size
 
 class Sample:
     """count items drawn chunk by chunk: draw(size) gives the next at most
-    size items as a tuple of columns (Points, alg.Rows, or None where an item
-    has no such point) and the error that cut the chunk short, or None."""
+    size items as a tuple of columns (Points, stacked elements, or None where
+    an item has no such point) and the error that cut the chunk short, or None."""
 
     def __init__(self, count: int, draw: Callable):
         self.count, self.draw = count, draw
@@ -315,7 +313,7 @@ def _drawn(items: Iterable) -> Callable:
             error = exc
         columns = tuple(
             None if column[0] is None
-            else alg.Rows(*alg.stack(column)) if isinstance(column[0], AlgebraElement)
+            else alg.stack(column) if isinstance(column[0], AlgebraElement)
             else Points(np.array(column, dtype=float))
             for column in zip(*chunk)
         )
@@ -325,7 +323,7 @@ def _drawn(items: Iterable) -> Callable:
 
 
 def _count(columns: tuple) -> int:
-    return next((len(c) for c in columns if c is not None), 0)
+    return next((len(c.data) for c in columns if c is not None), 0)
 
 
 def _slice(columns: tuple, start: int, stop: int) -> tuple:

@@ -222,6 +222,35 @@ def test_non_finite_scalar_rejected(bad):
             build()
 
 
+# row-stacked data: one axis more than the kind's rank
+_STACKED_DATA = [
+    lambda: alg.scalar([1.0, 2.0]),
+    lambda: alg.scalar([1.0]),
+    lambda: alg.scalar([[1.0]]),
+    lambda: alg.AlgebraElement("scalar", np.zeros(3)),
+    lambda: alg.element_from_dict({"kind": "scalar", "value": [1, 2]}),
+    lambda: alg.vector(np.zeros((2, 3))),
+    lambda: alg.element_from_dict({"kind": "vector", "values": [[1.0, 2.0]]}),
+    lambda: alg.matrix(np.zeros((2, 3, 3))),
+    lambda: alg.element_from_dict({"kind": "matrix", "re": np.zeros((2, 2, 2)).tolist(),
+                                   "im": np.zeros((2, 2, 2)).tolist()}),
+]
+
+
+@pytest.mark.parametrize("build", _STACKED_DATA)
+def test_constructors_reject_row_stacked_data(build):
+    with pytest.raises(alg.AlgebraError):
+        build()
+
+
+@pytest.mark.parametrize("e", [alg.scalar(0.0), alg.vector([0.0]), alg.matrix(np.zeros((2, 2)))])
+def test_element_is_a_value_not_a_sequence(e):
+    # an element defines no length, so a zero element is still a truthy value
+    assert bool(e) is True
+    with pytest.raises(TypeError):
+        iter(e)
+
+
 def _ref_scalar_data(value) -> np.ndarray:
     """The scalar data as the general constructor path built it."""
     arr = np.asarray(float(np.asarray(value)), dtype=float).copy()
@@ -437,8 +466,9 @@ def _stack_operand(draw):
 @given(_stack_operand())
 def test_stacked_order_cone_matches_row_reference(operand):
     kind, elements, tol = operand
-    stacked_kind, data = alg.stack(elements)
-    assert stacked_kind == kind and len(data) == len(elements)
+    stacked = alg.stack(elements)
+    data = stacked.data
+    assert stacked.kind == kind and stacked.stacked and len(data) == len(elements)
     ok, norms = alg.positive_rows(kind, data, tol)
     assert _same_bits(norms, alg.norm_rows(kind, data))
     for row, a, positive, nrm in zip(data, elements, ok.tolist(), norms):

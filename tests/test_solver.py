@@ -454,6 +454,26 @@ class TestUniquenessProbe:
         for z in report["limits"]:
             assert np.max(np.abs(z)) <= 1e-9
 
+    @staticmethod
+    def probe(T, starts):
+        return uniqueness_probe(
+            T, abs_metric(), zero_phi("scalar"), sum_combiner(), ContractionSpec("plain", k=0.5),
+            starts=starts, cfg=SolveConfig(x0=0.0, tol=1e-10, domain=Interval(-1.0, 1.0)),
+        )
+
+    def test_non_finite_orbit_keeps_its_type(self):
+        with pytest.raises(NonFiniteOrbitError) as exc:
+            self.probe(OperatorSpec(lambda x: x * np.inf, "blows-up"), [0.5, -0.5])
+        assert exc.value.index == 0
+        assert exc.value.__notes__ == ["in the solve from start #0"]
+
+    def test_escape_keeps_its_type(self):
+        # start #0 is the fixed point; start #1 leaves [-1, 1] on its first step
+        with pytest.raises(OrbitEscapeError) as exc:
+            self.probe(OperatorSpec(lambda x: 3.0 * x, "tripling"), [0.0, 0.5])
+        assert exc.value.index == 0 and exc.value.point == 1.5
+        assert exc.value.__notes__ == ["in the solve from start #1"]
+
     def test_single_start_rejected(self):
         prob = sum_premetric_problem()
         with pytest.raises(ValueError):

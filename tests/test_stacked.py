@@ -117,12 +117,12 @@ def test_registry_stacks_match_per_point(case):
         want = [fn(x) for x in xs]
     else:
         a, b, c = xs
-        middle = b[0] if all(e is b[0] for e in b) else alg.Rows(*alg.stack(b))
-        got = fn(alg.Rows(*alg.stack(a)), middle, alg.Rows(*alg.stack(c)))
+        middle = b[0] if all(e is b[0] for e in b) else alg.stack(b)
+        got = fn(alg.stack(a), middle, alg.stack(c))
         want = [fn(*args) for args in zip(a, b, c)]
-    if isinstance(got, alg.AlgebraElement):  # a constant: one element for every row
-        got = alg.Rows(got.kind, np.broadcast_to(got.data, (len(want), *got.data.shape)))
-    assert isinstance(got, alg.Rows) and len(got) == len(want)
+    if not got.stacked:  # a constant: one element for every row
+        got = alg._raw(got.kind, np.broadcast_to(got.data, (len(want), *got.data.shape)))
+    assert got.stacked and len(got.data) == len(want)
     for i, w in enumerate(want):
         assert _same_bytes(got.row(i), w), (table, i)
 
@@ -132,7 +132,7 @@ def test_rows_arithmetic_matches_element_arithmetic(kind):
     rng = np.random.default_rng(3)
     shape = {"scalar": (), "vector": (3,), "matrix": (3, 3)}[kind]
     data = rng.normal(size=(5, *shape)) + (1j * rng.normal(size=(5, *shape)) if kind == "matrix" else 0)
-    rows = alg.Rows(kind, data)
+    rows = alg._raw(kind, data)
     e = alg.AlgebraElement(kind, rng.normal(size=shape))
     ops = {
         "rows + e": (rows + e, lambda r: r + e), "e + rows": (e + rows, lambda r: e + r),
@@ -142,8 +142,8 @@ def test_rows_arithmetic_matches_element_arithmetic(kind):
         "np.float64 * rows": (np.float64(0.3) * rows, lambda r: np.float64(0.3) * r),
     }
     for name, (got, per_row) in ops.items():
-        assert isinstance(got, alg.Rows), name
-        for i in range(len(rows)):
+        assert got.stacked, name
+        for i in range(len(rows.data)):
             assert _same_bytes(got.row(i), per_row(rows.row(i))), (name, i)
     with pytest.raises(alg.DimensionMismatchError):
         rows + alg.zero("vector" if kind != "vector" else "scalar", 3)
