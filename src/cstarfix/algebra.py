@@ -275,14 +275,18 @@ def _resolve_eps(norms, tol: OrderTolerance | None):
 
 
 def stack(elements) -> AlgebraElement:
-    """The stacked element of the rows elements, all of one kind and size."""
+    """The stacked element of the rows elements, all of one kind and size.
+    The first row that differs from row 0 raises DimensionMismatchError,
+    with that row's index as the error's row."""
     first = elements[0]
     kind, shape = first.kind, first.data.shape
-    for e in elements:
+    for i, e in enumerate(elements):
         if e.kind != kind or e.data.shape != shape:
-            raise DimensionMismatchError(
+            error = DimensionMismatchError(
                 f"incompatible operands: {first.kind}(n={first.n}) vs {e.kind}(n={e.n})"
             )
+            error.row = i
+            raise error
     return _raw(kind, np.array([e.data for e in elements]))
 
 

@@ -153,12 +153,10 @@ def _stack_results(results: list):
         return tuple(_stack_results(list(column)) for column in zip(*results))
     if not isinstance(first, AlgebraElement):
         return Points(np.array(results))
-    for i, e in enumerate(results):
-        try:
-            alg._check_compatible(first, e)
-        except alg.DimensionMismatchError as exc:
-            raise alg.RowFailure(i, exc) from None
-    return alg._raw(first.kind, np.array([e.data for e in results]))
+    try:
+        return alg.stack(results)
+    except alg.DimensionMismatchError as exc:
+        raise alg.RowFailure(exc.row, exc) from None
 
 
 def each_row(fn: Callable, *args):
@@ -285,7 +283,7 @@ def _named_points(item: tuple) -> dict:
     return {"points": {k: point_repr(v) for k, v in zip("xyz", item)}}
 
 
-CHUNK_ROWS = 16  # scan chunks grow 1, 2, 4, ... rows up to this size
+CHUNK_ROWS = 256  # scan chunks grow 1, 2, 4, ... rows up to this size
 
 
 class Sample:
@@ -547,13 +545,18 @@ def check_metric_axioms(
 
 
 def induced_metric(p: ValuedDistance) -> ValuedDistance:
-    """The genuine metric 2 p(x,y) - p(x,x) - p(y,y) induced by a partial metric."""
+    """The genuine metric 2 p(x,y) - p(x,x) - p(y,y) induced by a partial metric;
+    rowwise when p's fn is."""
     if p.flavor != "partial":
         raise ValueError("induced metric requires a partial-metric flavor")
 
     def fn(x, y):
-        return alg.sub(alg.scale(2.0, p(x, y)), alg.add(p(x, x), p(y, y)))
+        # p's own check names p's label; the grouping 2 p(x,y) - (p(x,x) + p(y,y)) fixes the bits
+        pxy, pxx, pyy = p._point(x, y), p._point(x, x), p._point(y, y)
+        return alg._raw(p.kind, 2.0 * pxy.data - (pxx.data + pyy.data))
 
+    if getattr(p.fn, "rowwise", False):
+        fn = rowwise(fn)
     return ValuedDistance(p.kind, p.n, fn, "metric", label=f"induced({p.label})")
 
 

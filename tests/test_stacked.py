@@ -5,6 +5,8 @@ evaluate and test each chunk as one stack. Every stacked result here must
 equal, bit for bit, what evaluating one point or one item at a time gives.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from cstarfix.contractions import (
     inequality_sides,
     verify_contraction,
 )
+from cstarfix.partial import PartialProblem, verify_corollary_hypothesis
 from cstarfix.registry import COMBINERS, OPERATORS, PHIS, SPACES, get_combiner, get_space
 from cstarfix.spaces import (
     Box,
@@ -393,3 +396,179 @@ def test_distance_kind_check_raises_in_the_stacked_form():
     for d in (short, rowwise):
         with pytest.raises(alg.DimensionMismatchError, match="declared vector"):
             check_metric_axioms(d, Interval(0.0, 1.0), 50, 0)
+
+
+# ---------------------------------------------------------------------------
+# the chunk cap
+
+
+def _late_fixed_point(x):
+    # halves every point but the few at the top of the interval, which it fixes,
+    # so a plain contraction fails only at a late sample
+    return 0.5 * x if x < 0.996 else x
+
+
+def _abs_distance(x, y):
+    return alg.scalar(abs(x - y))
+
+
+def _cap_outputs():
+    """The structured output and the float bits of every kind of sampled check."""
+    out = {}
+    registry = get_space("sum_premetric")
+    user = ValuedDistance("scalar", 1, _abs_distance, "metric", label="abs")
+    late = OperatorSpec(_late_fixed_point, "late")
+    verifies = {
+        "registry-certified": (ContractionSpec("weak", k=0.6, alpha=1.0), OPERATORS["halving"](),
+                               registry.distance, PHIS["zero_pair"](), registry.domain),
+        "registry-falsified": (ContractionSpec("plain", k=0.6), late, registry.distance,
+                               PHIS["zero_pair"](), registry.domain),
+        "user-certified": (ContractionSpec("plain", k=0.6), OPERATORS["halving"](), user,
+                           PHIS["zero_scalar"](), Interval(-1.0, 1.0)),
+        "user-falsified": (ContractionSpec("plain", k=0.6), late, user, PHIS["zero_scalar"](),
+                           Interval(-1.0, 1.0)),
+    }
+    for name, (spec, T, d, phi, domain) in verifies.items():
+        result = verify_contraction(spec, T, d, phi, COMBINERS["sum"](), domain, 1000, 10)
+        out[name] = (json.dumps(result.to_dict()), result.max_slack_norm.hex())
+    for name, check in (("shifted_max_matrix", check_partial_axioms),
+                        ("diag_absdiff_matrix", check_metric_axioms),
+                        ("sum_premetric", check_metric_axioms)):
+        space = get_space(name)
+        out[name] = json.dumps(check(space.distance, space.domain, 700, 5).to_dict())
+    problem = PartialProblem(get_space("max_unit_interval").distance, OPERATORS["halving"](),
+                             ContractionSpec("chatterjea", k=1 / 3))
+    result = verify_corollary_hypothesis(problem, Interval(0.0, 1.0), 1000, 2)
+    out["corollary"] = (json.dumps(result.to_dict()), result.max_slack_norm.hex())
+    for name in ("sum", "square_first"):
+        report = check_F_axioms(COMBINERS[name](), "matrix", 2, 600, seed=4)
+        out[f"F-{name}"] = (json.dumps(report.to_dict()), report.continuity_modulus.hex())
+    return out
+
+
+@pytest.fixture(scope="module")
+def one_row_chunks():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "CHUNK_ROWS", 1)
+        return _cap_outputs()
+
+
+def test_cap_outputs_fail_late(one_row_chunks):
+    # the falsified verifies fail past the first 256-row chunk's start, so every cap splits them
+    for name in ("registry-falsified", "user-falsified"):
+        assert json.loads(one_row_chunks[name][0])["counterexample"]["index"] > 300, name
+    assert not json.loads(one_row_chunks["F-square_first"][0])["all_pass"]
+
+
+@pytest.mark.parametrize("cap", [1, 16, 256])
+def test_chunk_cap_changes_no_output(cap, monkeypatch, one_row_chunks):
+    monkeypatch.setattr(spaces, "CHUNK_ROWS", cap)
+    assert _cap_outputs() == one_row_chunks
+
+
+@pytest.mark.parametrize("first", [0, 1, 6, 254, 255, 256, 300, 700])
+def test_full_chunks_keep_the_laziness_bound(first, monkeypatch):
+    monkeypatch.setattr(spaces, "CHUNK_ROWS", 256)
+    evaluated = []
+
+    @spaces.rowwise
+    def evaluate(x):
+        evaluated.append(len(x))
+        return (alg._raw("scalar", np.where(x.data == first, -1.0, 1.0)),)
+
+    items = spaces._sliced((Points(np.arange(2000.0)),))
+    _, failure = spaces.first_failure(items, evaluate, spaces._nonnegative)
+    assert failure[0] == first
+    assert sum(evaluated) <= 2 * first + 1
+    assert max(evaluated) <= 256
+
+
+# ---------------------------------------------------------------------------
+# the stacked combiner and the induced metric
+
+
+_PER_POINT_F = {
+    "sum": lambda a, b, c: a + b + c,
+    "square_first": lambda a, b, c: a * a + b + c,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PER_POINT_F))
+@pytest.mark.parametrize("kind,n", [("scalar", 1), ("vector", 2), ("matrix", 2)])
+def test_F_axioms_of_a_per_point_combiner_match_the_rowwise_one(name, kind, n):
+    stacked = check_F_axioms(COMBINERS[name](), kind, n, 700, seed=1)
+    per_point = check_F_axioms(FFunction(_PER_POINT_F[name], COMBINERS[name]().label),
+                               kind, n, 700, seed=1)
+    assert json.dumps(per_point.to_dict()) == json.dumps(stacked.to_dict())
+    assert per_point.continuity_modulus.hex() == stacked.continuity_modulus.hex()
+
+
+def _dominance_inputs(count):
+    """The first arguments of check_F_axioms' dominance triples, in order."""
+    seen = []
+
+    def fn(a, b, c):
+        seen.append(a)
+        return a + b + c
+
+    check_F_axioms(FFunction(fn, "sum"), "matrix", 2, count, seed=0)
+    return seen[:count]
+
+
+@pytest.mark.parametrize("fails,raises", [(300, 400), (400, 300)])
+def test_F_error_later_in_a_full_chunk_does_not_hide_a_dominance_failure(fails, raises):
+    # triples 255 to 510 form one chunk at the 256-row cap
+    seen = _dominance_inputs(600)
+    bad, flawed = seen[fails].data.tobytes(), seen[raises].data.tobytes()
+
+    def fn(a, b, c):
+        if a.data.tobytes() == flawed:
+            raise ArithmeticError("combiner blew up")
+        return alg.zero("matrix", 2) if a.data.tobytes() == bad else a + b + c
+
+    F = FFunction(fn, "flawed")
+    if raises < fails:
+        with pytest.raises(ArithmeticError):
+            check_F_axioms(F, "matrix", 2, 600, seed=0)
+        return
+    dominance = check_F_axioms(F, "matrix", 2, 600, seed=0).checks[0]
+    assert dominance.verdict == "fail"
+    assert dominance.witness["offending"] == alg.element_to_dict(alg.zero("matrix", 2))
+    assert dominance.witness["inputs"][0] == alg.element_to_dict(seen[fails])
+
+
+@pytest.mark.parametrize("name", ["max_unit_interval", "absdiff_pair", "shifted_max_matrix"])
+def test_induced_metric_over_points_matches_per_point(name):
+    p = get_space(name).distance
+    d = spaces.induced_metric(p)
+    xs, ys = (np.random.default_rng(seed).uniform(0.0, 1.0, 40) for seed in (1, 2))
+    xs[:5] = ys[:5]  # the diagonal, where the induced metric is exactly zero
+    got = d(Points(xs), Points(ys))
+    assert got.stacked and len(got.data) == len(xs)
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        # the element arithmetic the induced metric is defined by, one point at a time
+        want = alg.sub(alg.scale(2.0, p(x, y)), alg.add(p(x, x), p(y, y)))
+        assert _same_bytes(d(x, y), want) and _same_bytes(got.row(i), want), i
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x, y: alg.vector([x, y]),
+    spaces.rowwise(lambda x, y: alg.values("vector", np.stack([x, y], axis=-1))),
+])
+def test_induced_metric_of_a_wrong_kind_p_names_p(fn):
+    p = ValuedDistance("scalar", 1, fn, "partial", label="wrong-kind")
+    d = spaces.induced_metric(p)
+    with pytest.raises(alg.DimensionMismatchError, match="'wrong-kind'"):
+        d(0.25, 0.5)
+    with pytest.raises(alg.DimensionMismatchError, match="'wrong-kind'"):
+        check_metric_axioms(d, Interval(0.0, 1.0), 20, 0)
+
+
+def test_each_row_reports_the_first_row_of_another_size():
+    def fn(x):
+        return alg.vector([x] * (2 if x < 3 else 3))
+
+    with pytest.raises(alg.RowFailure) as failure:
+        spaces.each_row(fn, Points(np.arange(6.0)))
+    assert failure.value.row == 3
+    assert isinstance(failure.value.error, alg.DimensionMismatchError)
