@@ -12,6 +12,7 @@ config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -240,8 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: main may run many times in one process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be non-negative")

@@ -24,10 +24,9 @@ from .spaces import (
     AxiomReport,
     Domain,
     Points,
-    Sample,
     ValuedDistance,
     _as_rows,
-    _sliced,
+    _count,
     axiom_check,
     below,
     each_row,
@@ -295,11 +294,11 @@ def check_F_axioms(
 
     # F gets each chunk's stacks in one call; a per-point fn goes row by row inside F
     report.checks.append(axiom_check(
-        "dominance", _sliced((a, b, c)), rowwise(lambda a, b, c: (a, b, F(a, b, c))),
+        "dominance", (a, b, c), rowwise(lambda a, b, c: (a, b, F(a, b, c))),
         dominated, inputs,
     ))
     report.checks.append(axiom_check(
-        "zero-preservation", [(theta,) * 3], lambda a, b, c: (F(a, b, c),), vanishes,
+        "zero-preservation", (alg.stack([theta]),) * 3, lambda a, b, c: (F(a, b, c),), vanishes,
         lambda _: {"points": {}},
     ))
 
@@ -395,62 +394,44 @@ def inequality_sides(
     return family_sides(spec, T, term, relaxed, x, y)
 
 
-def _pieces(strata: tuple) -> Sample:
-    """The Sample of the items of each (count, draw) stratum in turn."""
-    left = [count for count, _ in strata]
-
-    def draw(size):
-        pieces, error = [], None
-        for i, (_, part) in enumerate(strata):
-            take = min(size, left[i])
-            if take and error is None:
-                columns, error = part(take)
-                left[i] -= take
-                size -= take
-                pieces.append(columns)
-        if len(pieces) == 1:
-            return pieces[0], error
-        return tuple(None if c[0] is None else Points(np.concatenate([p.data for p in c]))
-                     for c in zip(*pieces)), error
-
-    return Sample(sum(left), draw)
-
-
-def _uniform_pairs(domain: Domain, rng: np.random.Generator, single_point: bool):
-    """Draw of uniform (x, y) samples, x then y from rng; y is None for single-point families."""
-
-    def draw(size):
-        if single_point:
-            return (Points(domain.sample_many(rng, size)), None), None
-        pts = domain.sample_many(rng, 2 * size)
-        return (Points(pts[0::2]), Points(pts[1::2])), None
-
-    return draw
-
-
 def uniform_samples(domain: Domain, count: int, rng: np.random.Generator, spec: ContractionSpec):
-    """Sample of count (x, y) domain samples, drawn lazily; y is None for
-    single-point families."""
-    return _pieces(((count, _uniform_pairs(domain, rng, FAMILIES[spec.family].single_point)),))
+    """The (x, y) columns of count uniform domain samples from one draw, x then
+    y of each sample from rng; y is None for single-point families."""
+    if FAMILIES[spec.family].single_point:
+        return Points(domain.sample_many(rng, count)), None
+    pts = domain.sample_many(rng, 2 * count)
+    return Points(pts[0::2]), Points(pts[1::2])
 
 
 def sample_check(
     inequality: str,
     spec: ContractionSpec,
-    samples,
+    strata,
     sides: Callable[[object, object], tuple[AlgebraElement, AlgebraElement]],
     sample_count: int,
     seed: int,
 ) -> VerificationResult:
-    """Certify lhs <= rhs from sides(x, y) over the (x, y) samples (an iterable
-    or a Sample), or stop at the first counterexample (lowest sample index
-    wins); max_slack_norm is the largest norm of rhs - lhs before it."""
-    max_slack, failure = first_failure(samples, sides, below)
+    """Certify lhs <= rhs from sides(x, y) over the (x, y) samples of each
+    stratum in turn, or stop at the first counterexample (lowest sample index
+    wins); max_slack_norm is the largest norm of rhs - lhs before it. A
+    stratum is a function, called only once every earlier stratum has passed,
+    giving its (x, y) columns and the error that cut them short, or None; that
+    error is raised only if none of the stratum's samples fails."""
+    max_slack, failure, offset = 0.0, None, 0
+    for stratum in strata:
+        columns, error = stratum()
+        slack, failure = first_failure(columns, sides, below)
+        max_slack = max(max_slack, slack)
+        if failure is not None:
+            break
+        if error is not None:
+            raise error
+        offset += _count(columns)
     result = VerificationResult(inequality, failure is None, seed, sample_count, max_slack, spec)
     if failure is not None:
         index, (x, y), kind, _, (lhs, rhs) = failure
         ce = result.counterexample = {
-            "index": index,
+            "index": offset + index,
             "x": point_repr(x),
             "lhs": alg.element_to_dict(alg._raw(kind, lhs)),
             "rhs": alg.element_to_dict(alg._raw(kind, rhs)),
@@ -473,30 +454,26 @@ def verify_contraction(
     """Certify the family inequality over a seeded sample, or produce the
     first counterexample (lowest sample index wins)."""
     rng = np.random.default_rng(seed)
-    rule = FAMILIES[spec.family]
-    n_uniform = sample_count - sample_count // 2 if rule.stratified else sample_count
-    samples = _pieces((
-        (n_uniform, _uniform_pairs(domain, rng, rule.single_point)),
-        (sample_count - n_uniform, _jittered_pairs(T, domain, rng)),
-    ))
+    stratified = FAMILIES[spec.family].stratified
+    n_uniform = sample_count - sample_count // 2 if stratified else sample_count
+    strata = [lambda: (uniform_samples(domain, n_uniform, rng, spec), None)]
+    if n_uniform < sample_count:
+        strata.append(lambda: _jittered_pairs(T, domain, rng, sample_count - n_uniform))
     sides = rowwise(functools.partial(inequality_sides, spec, T, d, phi, F))
-    return sample_check(spec.family, spec, samples, sides, sample_count, seed)
+    return sample_check(spec.family, spec, strata, sides, sample_count, seed)
 
 
-def _jittered_pairs(T: OperatorSpec, domain: Domain, rng: np.random.Generator):
-    """Draw of pairs (x, y) with y a domain point near T(x), for stratified
-    sampling: x, then a fresh point from rng moved 95 % of the way to T(x),
-    or the fresh point itself if the moved one is outside the domain."""
-
-    def draw(size):
-        pts = domain.sample_many(rng, 2 * size)
-        rows, t, error = head_evaluated(T, (Points(pts[0::2]),))
-        xs, fresh = pts[0 : 2 * rows : 2], pts[1 : 2 * rows : 2]
-        if rows:
-            t = np.asarray(t.data, dtype=float)
-            mixed = t + 0.05 * (fresh - t)
-            inside = domain.contains_many(mixed).reshape(-1, *[1] * (mixed.ndim - 1))
-            fresh = np.where(inside, mixed, fresh)
-        return (Points(xs), Points(fresh)), error
-
-    return draw
+def _jittered_pairs(T: OperatorSpec, domain: Domain, rng: np.random.Generator, count: int):
+    """(columns, error): the (x, y) columns of count pairs with y a domain
+    point near T(x), for stratified sampling: x, then a fresh point from rng
+    moved 95 % of the way to T(x), or the fresh point itself if the moved one
+    is outside the domain. An error of T cuts the pairs short before its x."""
+    pts = domain.sample_many(rng, 2 * count)
+    rows, t, error = head_evaluated(T, (Points(pts[0::2]),))
+    xs, fresh = pts[0 : 2 * rows : 2], pts[1 : 2 * rows : 2]
+    if rows:
+        t = np.asarray(t.data, dtype=float)
+        mixed = t + 0.05 * (fresh - t)
+        inside = domain.contains_many(mixed).reshape(-1, *[1] * (mixed.ndim - 1))
+        fresh = np.where(inside, mixed, fresh)
+    return (Points(xs), Points(fresh)), error

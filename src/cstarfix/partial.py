@@ -81,10 +81,10 @@ def verify_corollary_hypothesis(
 ) -> VerificationResult:
     """Sample the corollary inequality in p; certificate or first counterexample."""
     rng = np.random.default_rng(seed)
-    samples = uniform_samples(domain, sample_count, rng, problem.spec)
+    strata = [lambda: (uniform_samples(domain, sample_count, rng, problem.spec), None)]
     sides = rowwise(functools.partial(corollary_sides, problem))
     return sample_check(
-        f"partial-{problem.spec.family}", problem.spec, samples, sides, sample_count, seed
+        f"partial-{problem.spec.family}", problem.spec, strata, sides, sample_count, seed
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -182,22 +182,18 @@ def picard_solve(
             converged_step = True
             break
 
-    z = x
-    residual_fixed = alg.norm(d(z, T(z)))
-    residual_phi = alg.norm(phi(z))
+    residuals = certify_phi_fixed_point(x, T, d, phi, cfg.tol)
     return ConvergenceCertificate(
         iterates=np.array(iterates, dtype=float),
         recorded_indices=indices,
         step_norms=np.array(steps),
         apriori_bounds=np.array(bounds),
         phi_residuals=np.array(phis),
-        z=z,
-        residual_fixed=residual_fixed,
-        residual_phi=residual_phi,
+        z=x,
+        residual_fixed=residuals["residual_fixed"],
+        residual_phi=residuals["residual_phi"],
         rate_used=rate,
-        converged=converged_step
-        and residual_fixed <= cfg.tol
-        and residual_phi <= cfg.tol,
+        converged=converged_step and residuals["is_fixed"] and residuals["is_phi_zero"],
         iterations=n + 1,
         weak_bounds=rate > WEAK_RATE_THRESHOLD,
     )
@@ -262,12 +258,7 @@ def uniqueness_probe(
     certs = []
     for i, x0 in enumerate(starts):
         try:
-            certs.append(
-                picard_solve(
-                    T, d, phi, F, spec,
-                    SolveConfig(x0=x0, tol=cfg.tol, max_iter=cfg.max_iter, domain=cfg.domain),
-                )
-            )
+            certs.append(picard_solve(T, d, phi, F, spec, replace(cfg, x0=x0)))
         except SolverError as exc:
             exc.add_note(f"in the solve from start #{i}")
             raise

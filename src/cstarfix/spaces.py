@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Optional, Sequence
+from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -286,38 +286,15 @@ def _named_points(item: tuple) -> dict:
 CHUNK_ROWS = 256  # scan chunks grow 1, 2, 4, ... rows up to this size
 
 
-class Sample:
-    """count items drawn chunk by chunk: draw(size) gives the next at most
-    size items as a tuple of columns (Points, stacked elements, or None where
-    an item has no such point) and the error that cut the chunk short, or None."""
-
-    def __init__(self, count: int, draw: Callable):
-        self.count, self.draw = count, draw
-
-    def __len__(self) -> int:
-        return self.count
-
-
-def _drawn(items: Iterable) -> Callable:
-    """The draw of an iterable of item tuples, pulled lazily."""
-    it = iter(items)
-
-    def draw(size):
-        chunk, error = [], None
-        try:
-            for item in itertools.islice(it, size):
-                chunk.append(item)
-        except Exception as exc:
-            error = exc
-        columns = tuple(
-            None if column[0] is None
-            else alg.stack(column) if isinstance(column[0], AlgebraElement)
-            else Points(np.array(column, dtype=float))
-            for column in zip(*chunk)
-        )
-        return columns, error
-
-    return draw
+def stack_items(items) -> tuple:
+    """The columns of a list of item tuples: Points, stacked elements, or None
+    where an item has no such point."""
+    return tuple(
+        None if column[0] is None
+        else alg.stack(column) if isinstance(column[0], AlgebraElement)
+        else Points(np.array(column, dtype=float))
+        for column in zip(*items)
+    )
 
 
 def _count(columns: tuple) -> int:
@@ -327,22 +304,6 @@ def _count(columns: tuple) -> int:
 def _slice(columns: tuple, start: int, stop: int) -> tuple:
     """Rows start to stop of each column."""
     return tuple(None if c is None else c[start:stop] for c in columns)
-
-
-def _head(columns: tuple, rows: int) -> tuple:
-    return columns if rows == _count(columns) else _slice(columns, 0, rows)
-
-
-def _sliced(columns: tuple) -> Sample:
-    """The Sample of the rows of whole column stacks, in order."""
-    count, drawn = _count(columns), 0
-
-    def draw(size):
-        nonlocal drawn
-        start, drawn = drawn, min(drawn + size, count)
-        return _slice(columns, start, drawn), None
-
-    return Sample(count, draw)
 
 
 def _value_columns(values: tuple, count: int) -> tuple[alg.Kind, np.ndarray]:
@@ -358,84 +319,69 @@ def head_evaluated(fn: Callable, columns: tuple):
     """(rows, value, error): fn(*columns) over the longest head of the rows
     that evaluates, and the error of the row after it, or None. When a row
     raises, the rows before it are evaluated again without it."""
-    rows, error = _count(columns), None
+    rows, error, head = _count(columns), None, columns
     while rows:
         try:
-            return rows, fn(*_head(columns, rows)), error
+            return rows, fn(*head), error
         except alg.RowFailure as failure:
             # each retry drops at least one row
             rows, error = min(failure.row, rows - 1), failure.error
         except Exception as exc:
             rows, error = 0, exc
+        head = _slice(columns, 0, rows)
     return 0, None, error
 
 
-def first_failure(items, evaluate: Callable, test: Callable):
+def first_failure(columns: tuple, evaluate: Callable, test: Callable):
     """(best, failure): the first item failing test, as (index, item, kind,
     offending row, the item's value rows), or None; best is the largest score
-    before it. items is an iterable of item tuples or a Sample; they are drawn
-    lazily in chunks of 1, 2, 4, ... up to CHUNK_ROWS. evaluate(*item) gives an
-    item's algebra values; it gets the chunk's columns in one call if it is
-    rowwise, else each_row gives it one row at a time. test(points, kind,
-    *columns), columns[j] the row stack of the j-th value, gives (ok,
-    offending, score or None) per row.
+    before it. The items are the rows of columns (Points, stacked elements,
+    or None where an item has no such point), scanned in chunks of 1, 2, 4,
+    ... rows up to CHUNK_ROWS. evaluate(*item) gives an item's algebra values;
+    it gets the chunk's columns in one call if it is rowwise, else each_row
+    gives it one row at a time. test(points, kind, *values), values[j] the
+    row stack of the j-th value, gives (ok, offending, score or None) per row.
 
-    A failure at item i evaluates at most 2 i + 1 items. An error from evaluate,
-    or from drawing, is raised only if no earlier item of its chunk fails."""
-    draw = items.draw if isinstance(items, Sample) else _drawn(items)
+    A failure at item i evaluates at most 2 i + 1 items. An error from
+    evaluate is raised only if no earlier item of its chunk fails."""
     if not getattr(evaluate, "rowwise", False):
         evaluate = functools.partial(each_row, evaluate)
-    start, size, best = 0, 1, 0.0
-    while True:
-        points, error = draw(size)
-        drawn = _count(points)
-        rows, values, failed = head_evaluated(evaluate, points)
-        error = error if failed is None else failed
+    count, start, size, best = _count(columns), 0, 1, 0.0
+    while start < count:
+        points = _slice(columns, start, min(start + size, count))
+        rows, values, error = head_evaluated(evaluate, points)
         if rows:
-            points = _head(points, rows)
-            kind, columns = _value_columns(values, rows)
-            ok, offending, score = test(points, kind, *columns)
+            points = _slice(points, 0, rows)
+            kind, stacks = _value_columns(values, rows)
+            ok, offending, score = test(points, kind, *stacks)
             bad = np.flatnonzero(~ok)
             stop = int(bad[0]) if bad.size else rows
             if score is not None and stop:
                 best = max(best, float(score[:stop].max()))
             if bad.size:
                 item = tuple(None if c is None else c.row(stop) for c in points)
-                return best, (start + stop, item, kind, offending[stop], columns[:, stop])
+                return best, (start + stop, item, kind, offending[stop], stacks[:, stop])
         if error is not None:
             raise error
-        if drawn < size:
-            return best, None
         start += size
         size = min(2 * size, CHUNK_ROWS)
+    return best, None
 
 
 def axiom_check(
-    axiom: str, items, evaluate: Callable, test: Callable, describe=_named_points,
+    axiom: str, columns: tuple, evaluate: Callable, test: Callable, describe=_named_points,
 ) -> AxiomCheck:
-    """Verdict of one sampled axiom over items (a sequence of item tuples or
-    a Sample), evaluate(*item) giving an item's algebra values and test as in
-    first_failure. A fail names the first failing item, witnessed by
-    describe(item) and its offending element; otherwise a pass over all items."""
-    _, failure = first_failure(items, evaluate, test)
+    """Verdict of one sampled axiom over the items of columns, evaluate(*item)
+    giving an item's algebra values and test as in first_failure. A fail
+    names the first failing item, witnessed by describe(item) and its
+    offending element; otherwise a pass over all items."""
+    _, failure = first_failure(columns, evaluate, test)
+    count = _count(columns)
     if failure is None:
-        return AxiomCheck(axiom, "pass", len(items))
+        return AxiomCheck(axiom, "pass", count)
     _, item, kind, offending, _ = failure
     element = alg.element_to_dict(alg._raw(kind, offending))
-    return AxiomCheck(axiom, "fail", len(items), {**describe(item), "offending": element})
-
-
-def _cyclic(pts: np.ndarray, arity: int) -> Sample:
-    """The items (pts[i], pts[i + 1], ...) of arity points, indices mod len(pts)."""
-    n, drawn = len(pts), 0
-
-    def draw(size):
-        nonlocal drawn
-        rows = np.arange(drawn, min(drawn + size, n))
-        drawn += len(rows)
-        return tuple(Points(pts[(rows + j) % n]) for j in range(arity)), None
-
-    return Sample(n, draw)
+    return AxiomCheck(axiom, "fail", count, {**describe(item), "offending": element})
 
 
 def _check_axioms(
@@ -447,12 +393,15 @@ def _check_axioms(
     pts = domain.sample_many(np.random.default_rng(seed), sample_count)
     checks = []
     for axiom, arity, terms, test in axioms:
+        # the points followed by their first arity - 1 again, repeated as often as needed
+        ext = np.resize(pts, (sample_count + arity - 1, *pts.shape[1:]))
+        columns = tuple(Points(ext[j : j + sample_count]) for j in range(arity))
 
         @rowwise
         def evaluate(*item, terms=terms):
             return tuple(d(item[i], item[j]) for i, j in terms)
 
-        checks.append(axiom_check(axiom, _cyclic(pts, arity), evaluate, test))
+        checks.append(axiom_check(axiom, columns, evaluate, test))
     return checks
 
 

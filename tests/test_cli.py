@@ -55,6 +55,19 @@ class TestDemoCommand:
         assert json.loads(ok.stdout)["demo"] == "ex2.4"
         assert run("bogus").returncode == 2
 
+    def test_repeated_main_calls_match_single_calls(self, tmp_path, capsys):
+        # main keeps one parser per process; each call must still behave as a fresh run
+        cfg = write(tmp_path, "a.json", {"space": "sum_premetric"})
+        runs = [["demo", "ex2.4", "--samples", "20"],
+                ["axioms", "--config", cfg, "--samples", "50", "--format", "human"],
+                ["demo", "bogus"]]
+        for argv in runs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            cmd = [sys.executable, "-m", "cstarfix.cli", *argv]
+            single = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+            assert (code, out, err) == (single.returncode, single.stdout, single.stderr)
+
     def test_human_format(self, capsys):
         assert main(["demo", "ex2.4", "--samples", "100", "--format", "human"]) == 0
         out = capsys.readouterr().out

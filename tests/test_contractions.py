@@ -27,7 +27,7 @@ from cstarfix.contractions import (
 )
 from cstarfix.partial import PartialProblem, corollary_sides
 from cstarfix.registry import get_operator, get_phi, get_space
-from cstarfix.spaces import Interval, ValuedDistance, point_repr
+from cstarfix.spaces import Interval, ValuedDistance, point_repr, stack_items
 
 
 _VALID_SPECS = [
@@ -311,6 +311,40 @@ class TestVerifyContraction:
         assert result.counterexample["index"] == 0
         assert len(calls) <= 4
 
+    @pytest.mark.parametrize("fails,raises", [
+        (("uniform", 30), 5),  # a uniform counterexample wins over any jittered error
+        (("jittered", 3), 40),  # so does a jittered one before the raising sample
+        (("jittered", 60), 40),  # one after it does not: T's error propagates
+        (None, 0),
+    ])
+    def test_operator_error_in_the_jittered_stratum(self, fails, raises):
+        # the weak stream is 100 uniform pairs, then 100 pairs with y near T(x)
+        class Blowup(Exception):
+            pass
+
+        rng = np.random.default_rng(0)
+        domain = Interval(0.0, 1.0)
+        stratum_x = {"uniform": domain.sample_many(rng, 200)[0::2],
+                     "jittered": domain.sample_many(rng, 200)[0::2]}
+        raising = float(stratum_x["jittered"][raises])
+        failing = None if fails is None else float(stratum_x[fails[0]][fails[1]])
+
+        def t(x):
+            if x == raising:
+                raise Blowup(x)
+            return 10.0 if x == failing else 0.5 * x
+
+        args = (ContractionSpec("weak", k=0.6, alpha=0.0), OperatorSpec(t, "blowup"),
+                ValuedDistance("scalar", 1, lambda x, y: alg.scalar(abs(x - y)), "metric"),
+                zero_phi("scalar"), sum_combiner(), domain, 200)
+        if fails is None or (fails[0] == "jittered" and fails[1] > raises):
+            with pytest.raises(Blowup):
+                verify_contraction(*args, seed=0)
+            return
+        ce = verify_contraction(*args, seed=0).counterexample
+        assert ce["index"] == fails[1] + (100 if fails[0] == "jittered" else 0)
+        assert ce["x"] == failing
+
     def test_graphic_family_single_point(self):
         spec, _, d, phi, F, dom = sum_premetric_setup()
         result = verify_contraction(
@@ -384,6 +418,11 @@ def _reference_check(samples, sides, tol=None):
     return max_slack, None
 
 
+def _stratum(samples):
+    """The one stratum of the columns of a list of (x, y) samples."""
+    return [lambda: (stack_items(samples), None)]
+
+
 class TestSampleCheckChunks:
     @pytest.mark.parametrize("kind", sorted(_SCALED))
     @pytest.mark.parametrize("first", [0, 1, 3, 5, 37])
@@ -409,7 +448,7 @@ class TestSampleCheckChunks:
         def sides(x, y):
             return inequality_sides(spec, T, d, zero_phi(kind, d.n), sum_combiner(), x, y)
 
-        result = sample_check("plain", spec, iter(samples), sides, len(samples), 0)
+        result = sample_check("plain", spec, _stratum(samples), sides, len(samples), 0)
         evaluated = len(calls) // 2
         ref_slack, ref_ce = _reference_check(samples, sides)
         assert result.counterexample == ref_ce
@@ -426,7 +465,7 @@ class TestSampleCheckChunks:
         def sides(x, y):
             return scaled(0.5 * abs(x - y)), scaled(abs(x - y) + x)
 
-        result = sample_check("plain", ContractionSpec("plain", k=0.5), iter(samples), sides,
+        result = sample_check("plain", ContractionSpec("plain", k=0.5), _stratum(samples), sides,
                               len(samples), 0)
         ref_slack, ref_ce = _reference_check(samples, sides)
         assert result.certified and ref_ce is None
@@ -446,11 +485,11 @@ class TestSampleCheckChunks:
 
             return sides
 
-        result = sample_check("plain", spec, iter(samples), raising_at(4), len(samples), 0)
+        result = sample_check("plain", spec, _stratum(samples), raising_at(4), len(samples), 0)
         assert result.counterexample["index"] == 3
         assert result.max_slack_norm == 0.5
         with pytest.raises(ArithmeticError):
-            sample_check("plain", spec, iter(samples), raising_at(2), len(samples), 0)
+            sample_check("plain", spec, _stratum(samples), raising_at(2), len(samples), 0)
 
 
 class TestStepInequality:

@@ -270,7 +270,7 @@ def test_first_failure_chunks_match_per_item_loop(kind, axiom, first):
     def evaluate(*item):
         return tuple(d(item[i], item[j]) for i, j in terms)
 
-    check = spaces.axiom_check(axiom, items, evaluate, test)
+    check = spaces.axiom_check(axiom, spaces.stack_items(items), evaluate, test)
     evaluated = len(calls) // len(terms)
     calls.clear()
     expected = _reference_axiom(axiom, d, items)
@@ -293,7 +293,7 @@ def test_error_later_in_a_chunk_does_not_hide_an_earlier_failure():
     # items 3..6 form one chunk: the failure at 3 wins over the error at 4
     items = [(float(i), 0.0) for i in range(10)]
     test = spaces._nonnegative
-    check = spaces.axiom_check("nonnegativity", items, _raises_at(4), test)
+    check = spaces.axiom_check("nonnegativity", spaces.stack_items(items), _raises_at(4), test)
     assert check.witness["points"]["x"] == 3.0
     with pytest.raises(ArithmeticError):
-        spaces.axiom_check("nonnegativity", items, _raises_at(2), test)
+        spaces.axiom_check("nonnegativity", spaces.stack_items(items), _raises_at(2), test)

@@ -476,8 +476,7 @@ def test_full_chunks_keep_the_laziness_bound(first, monkeypatch):
         evaluated.append(len(x))
         return (alg._raw("scalar", np.where(x.data == first, -1.0, 1.0)),)
 
-    items = spaces._sliced((Points(np.arange(2000.0)),))
-    _, failure = spaces.first_failure(items, evaluate, spaces._nonnegative)
+    _, failure = spaces.first_failure((Points(np.arange(2000.0)),), evaluate, spaces._nonnegative)
     assert failure[0] == first
     assert sum(evaluated) <= 2 * first + 1
     assert max(evaluated) <= 256
