@@ -25,11 +25,9 @@ from .spaces import (
     Domain,
     Points,
     ValuedDistance,
-    _as_rows,
     _count,
     axiom_check,
     below,
-    each_row,
     first_failure,
     head_evaluated,
     over_rows,
@@ -60,7 +58,7 @@ class InvalidSpecError(ValueError):
 
 
 # Called with stacks (Points, or stacked elements), the three callables below
-# evaluate every row: in one call if fn is rowwise, else row by row.
+# return one row per input row, through over_rows.
 
 
 @dataclass(frozen=True)
@@ -71,9 +69,8 @@ class FFunction:
     label: str
 
     def __call__(self, a, b, c) -> AlgebraElement:
-        # a rowwise fn takes stacks as they are; testing it first keeps per-point calls cheap
-        if not getattr(self.fn, "rowwise", False) and (a.stacked or b.stacked or c.stacked):
-            return each_row(self.fn, a, b, c)
+        if a.stacked or b.stacked or c.stacked:
+            return over_rows(self.fn, a, b, c)
         return self.fn(a, b, c)
 
 
@@ -292,10 +289,8 @@ def check_F_axioms(
     def inputs(triple):
         return {"points": {}, "inputs": [alg.element_to_dict(v) for v in triple]}
 
-    # F gets each chunk's stacks in one call; a per-point fn goes row by row inside F
     report.checks.append(axiom_check(
-        "dominance", (a, b, c), rowwise(lambda a, b, c: (a, b, F(a, b, c))),
-        dominated, inputs,
+        "dominance", (a, b, c), lambda a, b, c: (a, b, F(a, b, c)), dominated, inputs,
     ))
     report.checks.append(axiom_check(
         "zero-preservation", (alg.stack([theta]),) * 3, lambda a, b, c: (F(a, b, c),), vanishes,
@@ -313,7 +308,7 @@ def check_F_axioms(
                  for i, v in enumerate((a, b, c))]
         stacks = [alg._raw(kind, p.reshape(-1, *p.shape[2:])) for p in pairs]
         try:
-            out = _as_rows(F(*stacks), 2 * probed).data
+            out = F(*stacks).data
         except alg.RowFailure as failure:
             raise failure.error from None
         delta_in = alg.norm_rows(kind, step).reshape(probed, 3).max(axis=1)
@@ -411,9 +406,10 @@ def sample_check(
     sample_count: int,
     seed: int,
 ) -> VerificationResult:
-    """Certify lhs <= rhs from sides(x, y) over the (x, y) samples of each
-    stratum in turn, or stop at the first counterexample (lowest sample index
-    wins); max_slack_norm is the largest norm of rhs - lhs before it. A
+    """Certify lhs <= rhs, sides(x, y) giving their stacks over the (x, y)
+    columns of each stratum in turn, or stop at the first counterexample
+    (lowest sample index wins); max_slack_norm is the largest norm of
+    rhs - lhs before it. A
     stratum is a function, called only once every earlier stratum has passed,
     giving its (x, y) columns and the error that cut them short, or None; that
     error is raised only if none of the stratum's samples fails."""
@@ -459,7 +455,7 @@ def verify_contraction(
     strata = [lambda: (uniform_samples(domain, n_uniform, rng, spec), None)]
     if n_uniform < sample_count:
         strata.append(lambda: _jittered_pairs(T, domain, rng, sample_count - n_uniform))
-    sides = rowwise(functools.partial(inequality_sides, spec, T, d, phi, F))
+    sides = functools.partial(inequality_sides, spec, T, d, phi, F)
     return sample_check(spec.family, spec, strata, sides, sample_count, seed)
 
 

@@ -28,7 +28,7 @@ from .contractions import (
     uniform_samples,
 )
 from .solver import ConvergenceCertificate, SolveConfig, picard_solve
-from .spaces import Domain, ValuedDistance, induced_metric, rowwise
+from .spaces import Domain, ValuedDistance, induced_metric
 
 __all__ = [
     "PartialProblem",
@@ -82,7 +82,7 @@ def verify_corollary_hypothesis(
     """Sample the corollary inequality in p; certificate or first counterexample."""
     rng = np.random.default_rng(seed)
     strata = [lambda: (uniform_samples(domain, sample_count, rng, problem.spec), None)]
-    sides = rowwise(functools.partial(corollary_sides, problem))
+    sides = functools.partial(corollary_sides, problem)
     return sample_check(
         f"partial-{problem.spec.family}", problem.spec, strata, sides, sample_count, seed
     )

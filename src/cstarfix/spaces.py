@@ -6,7 +6,6 @@ no counterexample was found among N deterministic samples, never a proof.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional, Sequence
@@ -27,7 +26,6 @@ __all__ = [
     "SequenceProbe",
     "AxiomCheck",
     "AxiomReport",
-    "sample_points",
     "check_partial_axioms",
     "check_metric_axioms",
     "induced_metric",
@@ -35,6 +33,9 @@ __all__ = [
     "converges_to",
     "cauchy_equivalence_probe",
 ]
+
+
+CONTAINS_SLACK = 1e-12  # a point this far outside a domain's bounds still counts as inside
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,12 @@ class Interval:
         """count points as one (count,) array, the stream of count sample calls."""
         return rng.uniform(self.lo, self.hi, size=count)
 
-    def contains(self, x, slack: float = 1e-12) -> bool:
-        return self.lo - slack <= float(x) <= self.hi + slack
+    def contains(self, x) -> bool:
+        return self.lo - CONTAINS_SLACK <= float(x) <= self.hi + CONTAINS_SLACK
 
-    def contains_many(self, xs: np.ndarray, slack: float = 1e-12) -> np.ndarray:
+    def contains_many(self, xs: np.ndarray) -> np.ndarray:
         """contains of each row of a point stack."""
-        return (self.lo - slack <= xs) & (xs <= self.hi + slack)
+        return (self.lo - CONTAINS_SLACK <= xs) & (xs <= self.hi + CONTAINS_SLACK)
 
 
 @dataclass(frozen=True)
@@ -86,32 +87,26 @@ class Box:
         lo, hi = zip(*((iv.lo, iv.hi) for iv in self.intervals))
         return rng.uniform(lo, hi, size=(count, self.dim))
 
-    def contains(self, x, slack: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             return False
-        return all(iv.contains(v, slack) for iv, v in zip(self.intervals, x))
+        return all(iv.contains(v) for iv, v in zip(self.intervals, x))
 
-    def contains_many(self, xs: np.ndarray, slack: float = 1e-12) -> np.ndarray:
+    def contains_many(self, xs: np.ndarray) -> np.ndarray:
         """contains of each row of a point stack."""
         if xs.shape[1:] != (self.dim,):
             return np.zeros(len(xs), dtype=bool)
-        inside = [iv.contains_many(xs[:, i], slack) for i, iv in enumerate(self.intervals)]
+        inside = [iv.contains_many(xs[:, i]) for i, iv in enumerate(self.intervals)]
         return np.logical_and.reduce(inside)
 
 
 Domain = Interval | Box
 
 
-def sample_points(domain: Domain, count: int, seed: int) -> list:
-    """Deterministic point sample from a 64-bit seed."""
-    rng = np.random.default_rng(seed)
-    return [domain.sample(rng) for _ in range(count)]
-
-
 class Points:
     """N domain points as one (N,) or (N, dim) array: the points of a chunk
-    of samples. Callables given Points evaluate every row (see rowwise)."""
+    of samples. Callables given Points evaluate every row (see over_rows)."""
 
     __slots__ = ("data",)
 
@@ -134,12 +129,12 @@ class Points:
 
 
 def rowwise(fn: Callable) -> Callable:
-    """Mark fn as written over row stacks: where it takes a point or a value it
-    also takes a stack of them and then returns the stack of its results, or
-    one element if the result is the same in every row. The fn of a
-    ValuedDistance, PhiFunction, OperatorSpec or FFunction gets a point stack as
-    its (N,) or (N, dim) array; a scan's evaluate gets the Points themselves.
-    Unmarked callables are evaluated row by row by each_row."""
+    """Mark fn, a user function of a distance, PhiFunction, OperatorSpec or
+    FFunction, as written over arrays: where it takes a point or a value it
+    also takes a stack of them (points as their (N,) or (N, dim) array, values
+    as stacked elements) and returns the stack of its results, or a result
+    with fewer axes, the same in every row. over_rows runs it once per stack;
+    unmarked fns run row by row through each_row."""
     fn.rowwise = True
     return fn
 
@@ -178,19 +173,23 @@ def each_row(fn: Callable, *args):
 
 
 def over_rows(fn: Callable, *args):
-    """fn over stacked args: in one call if fn is rowwise, else by each_row.
-    A rowwise fn's value that is the same in every row stays one element."""
+    """fn over stacked args, one result row per input row: Points for points,
+    a stacked element for values. The args are Points, stacked elements, or
+    anything else, which is the same in every row. A rowwise fn gets them in
+    one call, Points as their arrays; a result with fewer axes than the first
+    stack, such as one point or unstacked element, is repeated in every row.
+    Any other fn is run row by row by each_row."""
     if not getattr(fn, "rowwise", False):
         return each_row(fn, *args)
     out = fn(*[a.data if isinstance(a, Points) else a for a in args])
-    return Points(out) if isinstance(out, np.ndarray) else out
-
-
-def _as_rows(value: AlgebraElement, count: int) -> AlgebraElement:
-    """value as a stack of count rows: an unstacked element stands for every row."""
-    if value.stacked:
-        return value
-    return alg._raw(value.kind, np.broadcast_to(value.data, (count, *value.data.shape)))
+    first = next(a.data for a in args
+                 if isinstance(a, Points) or isinstance(a, AlgebraElement) and a.stacked)
+    if isinstance(out, AlgebraElement):
+        if out.stacked:
+            return out
+        return alg._raw(out.kind, np.broadcast_to(out.data, (len(first), *out.data.shape)))
+    out = np.asarray(out)
+    return Points(out if out.ndim >= first.ndim else np.broadcast_to(out, (len(first), *out.shape)))
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ class ValuedDistance:
         if isinstance(x, Points):
             # a rowwise fn is checked once per stack, any other fn in every row
             fn = self.fn if getattr(self.fn, "rowwise", False) else self._point
-            value = _as_rows(over_rows(fn, x, y), len(x.data))
+            value = over_rows(fn, x, y)
         else:
             value = self.fn(x, y)
         if value.kind != self.kind or value.n != self.n:
@@ -286,17 +285,6 @@ def _named_points(item: tuple) -> dict:
 CHUNK_ROWS = 256  # scan chunks grow 1, 2, 4, ... rows up to this size
 
 
-def stack_items(items) -> tuple:
-    """The columns of a list of item tuples: Points, stacked elements, or None
-    where an item has no such point."""
-    return tuple(
-        None if column[0] is None
-        else alg.stack(column) if isinstance(column[0], AlgebraElement)
-        else Points(np.array(column, dtype=float))
-        for column in zip(*items)
-    )
-
-
 def _count(columns: tuple) -> int:
     return next((len(c.data) for c in columns if c is not None), 0)
 
@@ -306,10 +294,9 @@ def _slice(columns: tuple, start: int, stop: int) -> tuple:
     return tuple(None if c is None else c[start:stop] for c in columns)
 
 
-def _value_columns(values: tuple, count: int) -> tuple[alg.Kind, np.ndarray]:
-    """Kind and (columns, count, ...) array of an item's values over count
-    rows, which must agree in kind and size."""
-    values = [_as_rows(v, count) for v in values]
+def _value_columns(values: tuple) -> tuple[alg.Kind, np.ndarray]:
+    """Kind and (columns, rows, ...) array of an item's value stacks, which
+    must agree in kind and size."""
     for v in values:
         alg._check_compatible(values[0], v)
     return values[0].kind, np.stack([v.data for v in values])
@@ -337,22 +324,20 @@ def first_failure(columns: tuple, evaluate: Callable, test: Callable):
     offending row, the item's value rows), or None; best is the largest score
     before it. The items are the rows of columns (Points, stacked elements,
     or None where an item has no such point), scanned in chunks of 1, 2, 4,
-    ... rows up to CHUNK_ROWS. evaluate(*item) gives an item's algebra values;
-    it gets the chunk's columns in one call if it is rowwise, else each_row
-    gives it one row at a time. test(points, kind, *values), values[j] the
-    row stack of the j-th value, gives (ok, offending, score or None) per row.
+    ... rows up to CHUNK_ROWS. evaluate(*columns) gets a chunk's columns and
+    gives the stacks of its items' algebra values, one row per item.
+    test(points, kind, *values), values[j] the row stack of the j-th value,
+    gives (ok, offending, score or None) per row.
 
     A failure at item i evaluates at most 2 i + 1 items. An error from
     evaluate is raised only if no earlier item of its chunk fails."""
-    if not getattr(evaluate, "rowwise", False):
-        evaluate = functools.partial(each_row, evaluate)
     count, start, size, best = _count(columns), 0, 1, 0.0
     while start < count:
         points = _slice(columns, start, min(start + size, count))
         rows, values, error = head_evaluated(evaluate, points)
         if rows:
             points = _slice(points, 0, rows)
-            kind, stacks = _value_columns(values, rows)
+            kind, stacks = _value_columns(values)
             ok, offending, score = test(points, kind, *stacks)
             bad = np.flatnonzero(~ok)
             stop = int(bad[0]) if bad.size else rows
@@ -371,8 +356,8 @@ def first_failure(columns: tuple, evaluate: Callable, test: Callable):
 def axiom_check(
     axiom: str, columns: tuple, evaluate: Callable, test: Callable, describe=_named_points,
 ) -> AxiomCheck:
-    """Verdict of one sampled axiom over the items of columns, evaluate(*item)
-    giving an item's algebra values and test as in first_failure. A fail
+    """Verdict of one sampled axiom over the items of columns, evaluate and
+    test as in first_failure. A fail
     names the first failing item, witnessed by describe(item) and its
     offending element; otherwise a pass over all items."""
     _, failure = first_failure(columns, evaluate, test)
@@ -397,7 +382,6 @@ def _check_axioms(
         ext = np.resize(pts, (sample_count + arity - 1, *pts.shape[1:]))
         columns = tuple(Points(ext[j : j + sample_count]) for j in range(arity))
 
-        @rowwise
         def evaluate(*item, terms=terms):
             return tuple(d(item[i], item[j]) for i, j in terms)
 

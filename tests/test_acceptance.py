@@ -24,7 +24,8 @@ from cstarfix.partial import (
 )
 from cstarfix.registry import get_combiner, get_operator, get_phi, get_space
 from cstarfix.solver import SolveConfig, bound_audit, picard_solve
-from cstarfix.spaces import check_metric_axioms, check_partial_axioms, sample_points
+from cstarfix.spaces import check_metric_axioms, check_partial_axioms
+from helpers import sample_points
 
 SAMPLES = 10_000
 

@@ -27,7 +27,8 @@ from cstarfix.contractions import (
 )
 from cstarfix.partial import PartialProblem, corollary_sides
 from cstarfix.registry import get_operator, get_phi, get_space
-from cstarfix.spaces import Interval, ValuedDistance, point_repr, stack_items
+from cstarfix.spaces import Interval, ValuedDistance, each_row, point_repr
+from helpers import stack_items
 
 
 _VALID_SPECS = [
@@ -448,7 +449,8 @@ class TestSampleCheckChunks:
         def sides(x, y):
             return inequality_sides(spec, T, d, zero_phi(kind, d.n), sum_combiner(), x, y)
 
-        result = sample_check("plain", spec, _stratum(samples), sides, len(samples), 0)
+        result = sample_check("plain", spec, _stratum(samples), functools.partial(each_row, sides),
+                              len(samples), 0)
         evaluated = len(calls) // 2
         ref_slack, ref_ce = _reference_check(samples, sides)
         assert result.counterexample == ref_ce
@@ -465,8 +467,8 @@ class TestSampleCheckChunks:
         def sides(x, y):
             return scaled(0.5 * abs(x - y)), scaled(abs(x - y) + x)
 
-        result = sample_check("plain", ContractionSpec("plain", k=0.5), _stratum(samples), sides,
-                              len(samples), 0)
+        result = sample_check("plain", ContractionSpec("plain", k=0.5), _stratum(samples),
+                              functools.partial(each_row, sides), len(samples), 0)
         ref_slack, ref_ce = _reference_check(samples, sides)
         assert result.certified and ref_ce is None
         assert result.max_slack_norm.hex() == ref_slack.hex()
@@ -485,11 +487,13 @@ class TestSampleCheckChunks:
 
             return sides
 
-        result = sample_check("plain", spec, _stratum(samples), raising_at(4), len(samples), 0)
+        result = sample_check("plain", spec, _stratum(samples),
+                              functools.partial(each_row, raising_at(4)), len(samples), 0)
         assert result.counterexample["index"] == 3
         assert result.max_slack_norm == 0.5
         with pytest.raises(ArithmeticError):
-            sample_check("plain", spec, _stratum(samples), raising_at(2), len(samples), 0)
+            sample_check("plain", spec, _stratum(samples),
+                         functools.partial(each_row, raising_at(2)), len(samples), 0)
 
 
 class TestStepInequality:

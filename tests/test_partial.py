@@ -12,7 +12,7 @@ from cstarfix.partial import (
 )
 from cstarfix.registry import get_operator, get_space
 from cstarfix.solver import SolveConfig
-from cstarfix.spaces import sample_points
+from helpers import sample_points
 
 
 def max_problem(spec, operator="halving"):

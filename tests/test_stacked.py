@@ -35,6 +35,7 @@ from cstarfix.spaces import (
     check_partial_axioms,
     point_repr,
 )
+from helpers import sample_points
 
 
 def _same_bytes(a, b):
@@ -263,9 +264,43 @@ def test_verify_evaluates_the_per_point_sample_stream(domain):
     assert stacked == sorted(map(repr, calls))
 
 
+_EVERY_FAMILY = [
+    ContractionSpec("plain", k=0.5),
+    ContractionSpec("graphic", k=0.5),
+    ContractionSpec("weak", k=0.5, alpha=1.0),
+    ContractionSpec("kannan", k=0.4),
+    ContractionSpec("reich", alpha=0.3, beta=0.2, gamma=0.1),
+    ContractionSpec("chatterjea", k=0.3),
+]
+
+
+def _constant_cases():
+    """(d, phi, domain, constant point) on an interval and on a box."""
+    fn = spaces.rowwise(lambda x, y: alg.values("scalar", abs(x - y)))
+    absdiff = ValuedDistance("scalar", 1, fn, "metric", label="abs")
+    box = get_space("diag_absdiff_matrix")
+    return {
+        "interval": (absdiff, PHIS["zero_scalar"](), Interval(0.0, 1.0), 0.5),
+        "box": (box.distance, PHIS["spread_matrix"](), box.domain, np.array([0.25, -0.5])),
+    }
+
+
+@pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=lambda s: s.family)
+@pytest.mark.parametrize("case", ["interval", "box"])
+def test_constant_operator_gets_a_verdict_in_every_family(spec, case):
+    # a rowwise T that gives one point for the whole stack stands for that point in every row
+    d, phi, domain, c = _constant_cases()[case]
+    outputs = [
+        json.dumps(verify_contraction(spec, OperatorSpec(fn, "const"), d, phi,
+                                      get_combiner("sum"), domain, 200, 3).to_dict())
+        for fn in (spaces.rowwise(lambda x: c), lambda x: c)
+    ]
+    assert outputs[0] == outputs[1]
+
+
 def _reference_axioms(d, axioms, domain, count, seed):
     """Each axiom's witness (or None), item by item with one-row tests."""
-    pts = spaces.sample_points(domain, count, seed)
+    pts = sample_points(domain, count, seed)
     out = {}
     for axiom, arity, terms, test in axioms:
         out[axiom] = None
@@ -471,7 +506,6 @@ def test_full_chunks_keep_the_laziness_bound(first, monkeypatch):
     monkeypatch.setattr(spaces, "CHUNK_ROWS", 256)
     evaluated = []
 
-    @spaces.rowwise
     def evaluate(x):
         evaluated.append(len(x))
         return (alg._raw("scalar", np.where(x.data == first, -1.0, 1.0)),)
