@@ -175,28 +175,19 @@ def _raw(kind: Kind, data: np.ndarray) -> AlgebraElement:
     return obj
 
 
-class RowFailure(Exception):
-    """The error raised while evaluating row `row` of a stack; the rows
-    before it evaluated without one."""
-
-    def __init__(self, row: int, error: Exception):
-        super().__init__(row, error)
-        self.row, self.error = row, error
-
-
 def values(kind: Kind, data) -> AlgebraElement:
     """The element, or the stack of elements, of freshly computed data.
-    Matrix data are cast to complex and must be finite, as matrix() requires;
-    a non-finite row of a stack raises RowFailure at that row. Real data are
-    taken as they are, as _raw takes them."""
+    Matrix data are cast to complex and must be finite, as matrix() requires:
+    a stack with a non-finite row raises AlgebraError, and the scan finds
+    the row (see spaces.head_evaluated). Real data are taken as they are, as
+    _raw takes them."""
     if kind != "matrix":
         return _raw(kind, np.asarray(data, dtype=float))
     if np.ndim(data) == 2:
         return matrix(data)
     data = np.asarray(data, dtype=complex)
-    finite = np.isfinite(data).all(axis=(1, 2))
-    if not finite.all():
-        raise RowFailure(int(np.argmin(finite)), AlgebraError("element data must be finite"))
+    if not np.isfinite(data).all():
+        raise AlgebraError("element data must be finite")
     return _raw(kind, data)
 
 
@@ -276,17 +267,15 @@ def _resolve_eps(norms, tol: OrderTolerance | None):
 
 def stack(elements) -> AlgebraElement:
     """The stacked element of the rows elements, all of one kind and size.
-    The first row that differs from row 0 raises DimensionMismatchError,
-    with that row's index as the error's row."""
+    The first row that differs from row 0 raises DimensionMismatchError
+    naming both."""
     first = elements[0]
     kind, shape = first.kind, first.data.shape
-    for i, e in enumerate(elements):
+    for e in elements:
         if e.kind != kind or e.data.shape != shape:
-            error = DimensionMismatchError(
+            raise DimensionMismatchError(
                 f"incompatible operands: {first.kind}(n={first.n}) vs {e.kind}(n={e.n})"
             )
-            error.row = i
-            raise error
     return _raw(kind, np.array([e.data for e in elements]))
 
 

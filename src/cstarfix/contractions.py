@@ -125,9 +125,14 @@ class ContractionSpec:
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise InvalidSpecError(f"unknown family {self.family!r}")
+        given = [c for c in _CONSTANTS if getattr(self, c) is not None]
+        for name in given:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidSpecError(f"{self.family} requires a numeric {name}, got {value!r}")
         FAMILIES[self.family].check(self)
-        # then every numeric constant, read or not: to_dict echoes them all
-        _finite(self, *(c for c in _CONSTANTS if isinstance(getattr(self, c), (int, float))))
+        # then every constant, read or not: to_dict echoes them all
+        _finite(self, *given)
 
     def to_dict(self) -> dict:
         d = {"family": self.family}
@@ -307,10 +312,7 @@ def check_F_axioms(
         pairs = [np.stack([v.data[:probed], v.data[:probed] + step[i::3]], axis=1)
                  for i, v in enumerate((a, b, c))]
         stacks = [alg._raw(kind, p.reshape(-1, *p.shape[2:])) for p in pairs]
-        try:
-            out = F(*stacks).data
-        except alg.RowFailure as failure:
-            raise failure.error from None
+        out = F(*stacks).data
         delta_in = alg.norm_rows(kind, step).reshape(probed, 3).max(axis=1)
         delta_out = alg.norm_rows(kind, out[1::2] - out[0::2])
         moved = np.flatnonzero(delta_in != 0)
@@ -391,9 +393,9 @@ def inequality_sides(
 
 def uniform_samples(domain: Domain, count: int, rng: np.random.Generator, spec: ContractionSpec):
     """The (x, y) columns of count uniform domain samples from one draw, x then
-    y of each sample from rng; y is None for single-point families."""
+    y of each sample from rng; only the x column for single-point families."""
     if FAMILIES[spec.family].single_point:
-        return Points(domain.sample_many(rng, count)), None
+        return (Points(domain.sample_many(rng, count)),)
     pts = domain.sample_many(rng, 2 * count)
     return Points(pts[0::2]), Points(pts[1::2])
 
@@ -402,17 +404,17 @@ def sample_check(
     inequality: str,
     spec: ContractionSpec,
     strata,
-    sides: Callable[[object, object], tuple[AlgebraElement, AlgebraElement]],
+    sides: Callable[..., tuple[AlgebraElement, AlgebraElement]],
     sample_count: int,
     seed: int,
 ) -> VerificationResult:
-    """Certify lhs <= rhs, sides(x, y) giving their stacks over the (x, y)
-    columns of each stratum in turn, or stop at the first counterexample
-    (lowest sample index wins); max_slack_norm is the largest norm of
-    rhs - lhs before it. A
-    stratum is a function, called only once every earlier stratum has passed,
-    giving its (x, y) columns and the error that cut them short, or None; that
-    error is raised only if none of the stratum's samples fails."""
+    """Certify lhs <= rhs, sides(*columns) giving their stacks over the
+    (x, y) columns, or the (x,) column of a single-point family, of each
+    stratum in turn, or stop at the first counterexample (lowest sample
+    index wins); max_slack_norm is the largest norm of rhs - lhs before it.
+    A stratum is a function, called only once every earlier stratum has
+    passed, giving its columns and the error that cut them short, or None;
+    that error is raised only if none of the stratum's samples fails."""
     max_slack, failure, offset = 0.0, None, 0
     for stratum in strata:
         columns, error = stratum()
@@ -425,15 +427,15 @@ def sample_check(
         offset += _count(columns)
     result = VerificationResult(inequality, failure is None, seed, sample_count, max_slack, spec)
     if failure is not None:
-        index, (x, y), kind, _, (lhs, rhs) = failure
+        index, (x, *y), kind, _, (lhs, rhs) = failure
         ce = result.counterexample = {
             "index": offset + index,
             "x": point_repr(x),
             "lhs": alg.element_to_dict(alg._raw(kind, lhs)),
             "rhs": alg.element_to_dict(alg._raw(kind, rhs)),
         }
-        if y is not None:
-            ce["y"] = point_repr(y)
+        if y:
+            ce["y"] = point_repr(y[0])
     return result
 
 

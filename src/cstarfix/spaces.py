@@ -142,34 +142,25 @@ def rowwise(fn: Callable) -> Callable:
 def _stack_results(results: list):
     """One stack of per-row results: the stacked element of elements, a
     tuple of stacks of tuples, Points otherwise. A row whose kind or size
-    differs from row 0's raises RowFailure at that row."""
+    differs from row 0's raises DimensionMismatchError."""
     first = results[0]
     if isinstance(first, tuple):
         return tuple(_stack_results(list(column)) for column in zip(*results))
     if not isinstance(first, AlgebraElement):
         return Points(np.array(results))
-    try:
-        return alg.stack(results)
-    except alg.DimensionMismatchError as exc:
-        raise alg.RowFailure(exc.row, exc) from None
+    return alg.stack(results)
 
 
 def each_row(fn: Callable, *args):
     """A per-point fn over stacked args, one row at a time: Points give their
     points, stacked elements their rows, anything else is the same in every
-    row. The error of the first row that raises is raised as RowFailure at
-    that row."""
+    row. The first row that raises ends the call with its error; the scan
+    finds that row (see head_evaluated)."""
     columns = [a.rows() if isinstance(a, Points)
                else [a.row(i) for i in range(len(a.data))]
                if isinstance(a, AlgebraElement) and a.stacked
                else itertools.repeat(a) for a in args]
-    results, i = [], 0
-    try:
-        for i, row in enumerate(zip(*columns)):
-            results.append(fn(*row))
-    except Exception as exc:
-        raise alg.RowFailure(i, exc) from None
-    return _stack_results(results)
+    return _stack_results([fn(*row) for row in zip(*columns)])
 
 
 def over_rows(fn: Callable, *args):
@@ -286,12 +277,12 @@ CHUNK_ROWS = 256  # scan chunks grow 1, 2, 4, ... rows up to this size
 
 
 def _count(columns: tuple) -> int:
-    return next((len(c.data) for c in columns if c is not None), 0)
+    return len(columns[0].data)
 
 
 def _slice(columns: tuple, start: int, stop: int) -> tuple:
     """Rows start to stop of each column."""
-    return tuple(None if c is None else c[start:stop] for c in columns)
+    return tuple(c[start:stop] for c in columns)
 
 
 def _value_columns(values: tuple) -> tuple[alg.Kind, np.ndarray]:
@@ -304,33 +295,38 @@ def _value_columns(values: tuple) -> tuple[alg.Kind, np.ndarray]:
 
 def head_evaluated(fn: Callable, columns: tuple):
     """(rows, value, error): fn(*columns) over the longest head of the rows
-    that evaluates, and the error of the row after it, or None. When a row
-    raises, the rows before it are evaluated again without it."""
-    rows, error, head = _count(columns), None, columns
-    while rows:
+    that evaluates, and the error of the head one row longer, or None; the
+    columns hold at least one row. fn runs once on all the rows; only if
+    that raises, with an error of any type, are heads of them bisected,
+    about log2 of the row count more calls."""
+    good, value, bad = 0, None, _count(columns)
+    try:
+        return bad, fn(*columns), None
+    except Exception as exc:
+        error = exc
+    # the head of good rows evaluates to value, the head of bad rows raises error
+    while bad - good > 1:
+        middle = (good + bad) // 2
         try:
-            return rows, fn(*head), error
-        except alg.RowFailure as failure:
-            # each retry drops at least one row
-            rows, error = min(failure.row, rows - 1), failure.error
+            good, value = middle, fn(*_slice(columns, 0, middle))
         except Exception as exc:
-            rows, error = 0, exc
-        head = _slice(columns, 0, rows)
-    return 0, None, error
+            bad, error = middle, exc
+    return good, value, error
 
 
 def first_failure(columns: tuple, evaluate: Callable, test: Callable):
     """(best, failure): the first item failing test, as (index, item, kind,
     offending row, the item's value rows), or None; best is the largest score
-    before it. The items are the rows of columns (Points, stacked elements,
-    or None where an item has no such point), scanned in chunks of 1, 2, 4,
-    ... rows up to CHUNK_ROWS. evaluate(*columns) gets a chunk's columns and
-    gives the stacks of its items' algebra values, one row per item.
+    before it. The items are the rows of columns (Points or stacked
+    elements, all of one length), scanned in chunks of 1, 2, 4, ... rows up
+    to CHUNK_ROWS. evaluate(*columns) gets a chunk's columns and gives the
+    stacks of its items' algebra values, one row per item.
     test(points, kind, *values), values[j] the row stack of the j-th value,
     gives (ok, offending, score or None) per row.
 
-    A failure at item i evaluates at most 2 i + 1 items. An error from
-    evaluate is raised only if no earlier item of its chunk fails."""
+    A failure at item i evaluates at most 2 i + 1 items. When evaluate
+    raises on a chunk, head_evaluated finds the first item it raises on;
+    the error, of any type, is raised only if no earlier item fails."""
     count, start, size, best = _count(columns), 0, 1, 0.0
     while start < count:
         points = _slice(columns, start, min(start + size, count))
@@ -344,7 +340,7 @@ def first_failure(columns: tuple, evaluate: Callable, test: Callable):
             if score is not None and stop:
                 best = max(best, float(score[:stop].max()))
             if bad.size:
-                item = tuple(None if c is None else c.row(stop) for c in points)
+                item = tuple(c.row(stop) for c in points)
                 return best, (start + stop, item, kind, offending[stop], stacks[:, stop])
         if error is not None:
             raise error

@@ -14,11 +14,9 @@ def sample_points(domain: Domain, count: int, seed: int) -> list:
 
 
 def stack_items(items) -> tuple:
-    """The columns of a list of item tuples: Points, stacked elements, or None
-    where an item has no such point."""
+    """The columns of a list of item tuples: Points or stacked elements."""
     return tuple(
-        None if column[0] is None
-        else alg.stack(column) if isinstance(column[0], alg.AlgebraElement)
+        alg.stack(column) if isinstance(column[0], alg.AlgebraElement)
         else Points(np.array(column, dtype=float))
         for column in zip(*items)
     )

@@ -5,7 +5,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from cstarfix import algebra as alg
 from cstarfix.cli import main

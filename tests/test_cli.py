@@ -164,6 +164,19 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg]) == 2
         assert capsys.readouterr().err == "config error: plain requires a finite alpha, got nan\n"
 
+    @pytest.mark.parametrize("family,constants,message", [
+        ("weak", {"k": 0.5, "alpha": True}, "weak requires a numeric alpha, got True"),
+        ("plain", {"k": 0.5, "alpha": "x"}, "plain requires a numeric alpha, got 'x'"),
+    ], ids=["bool", "string"])
+    def test_non_numeric_constant_exits_two(self, tmp_path, capsys, family, constants, message):
+        cfg = write(
+            tmp_path, "v.json",
+            {"space": "max_unit_interval", "mode": "partial", "operator": "halving",
+             "family": family, **constants},
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_metric_mode_with_phi(self, tmp_path, capsys):
         cfg = write(
             tmp_path, "v.json",

@@ -15,7 +15,6 @@ from cstarfix.contractions import (
     FFunction,
     InvalidSpecError,
     OperatorSpec,
-    PhiFunction,
     check_F_axioms,
     effective_rate,
     inequality_sides,
@@ -27,7 +26,15 @@ from cstarfix.contractions import (
 )
 from cstarfix.partial import PartialProblem, corollary_sides
 from cstarfix.registry import get_operator, get_phi, get_space
-from cstarfix.spaces import Interval, ValuedDistance, each_row, point_repr
+from cstarfix.spaces import (
+    Interval,
+    Points,
+    ValuedDistance,
+    axiom_check,
+    each_row,
+    point_repr,
+    rowwise,
+)
 from helpers import stack_items
 
 
@@ -84,6 +91,13 @@ _INVALID_SPECS = [
     ("reich", {"k": float("nan"), "alpha": float("nan"), "beta": 0.1, "gamma": 0.1},
      "reich requires a finite alpha, got nan"),
     ("graphic", {"k": 0.5, "beta": float("inf")}, "graphic requires a finite beta, got inf"),
+    # a constant that is not an int or a float, read or not, before the family's own check
+    ("plain", {"k": 0.5, "alpha": "x"}, "plain requires a numeric alpha, got 'x'"),
+    ("weak", {"k": 0.5, "alpha": True}, "weak requires a numeric alpha, got True"),
+    ("plain", {"k": False}, "plain requires a numeric k, got False"),
+    ("weak", {"k": 1.5, "alpha": "x"}, "weak requires a numeric alpha, got 'x'"),
+    ("reich", {"alpha": [0.1], "beta": 0.1, "gamma": 0.1},
+     "reich requires a numeric alpha, got [0.1]"),
 ]
 
 
@@ -104,8 +118,9 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
             ContractionSpec(family, **kwargs)
 
-    def test_non_numeric_unread_constant_is_kept(self):
-        assert ContractionSpec("plain", k=0.5, alpha="x").to_dict()["alpha"] == "x"
+    def test_integer_constants_are_accepted(self):
+        spec = ContractionSpec("weak", k=0.5, alpha=2, beta=0)
+        assert spec.to_dict() == {"family": "weak", "k": 0.5, "alpha": 2, "beta": 0}
 
     def test_config_parsing_with_alias(self):
         spec = ContractionSpec.from_dict({"family": "kannan", "k": 0.333})
@@ -345,6 +360,45 @@ class TestVerifyContraction:
         ce = verify_contraction(*args, seed=0).counterexample
         assert ce["index"] == fails[1] + (100 if fails[0] == "jittered" else 0)
         assert ce["x"] == failing
+
+    @pytest.mark.parametrize("fails", [True, False])
+    def test_rowwise_operator_error_does_not_hide_an_earlier_counterexample(self, fails):
+        # samples 3..6 form one chunk: a rowwise T raises on any stack that
+        # holds sample 5, and maps sample 3 to -10 when fails
+        class Blowup(Exception):
+            pass
+
+        domain = Interval(0.0, 1.0)
+        xs = domain.sample_many(np.random.default_rng(0), 20)[0::2]
+
+        @rowwise
+        def t(x):
+            if np.any(x == xs[5]):
+                raise Blowup(x)
+            return np.where(fails & (x == xs[3]), -10.0, 0.5 * x)
+
+        T = OperatorSpec(t, "blowup")
+        args = (ContractionSpec("plain", k=0.5), T,
+                ValuedDistance("scalar", 1, rowwise(lambda x, y: alg.values("scalar", np.abs(x - y))),
+                               "metric"),
+                zero_phi("scalar"), sum_combiner(), domain, 10)
+        image_check = functools.partial(
+            axiom_check, "image-nonnegative", (Points(xs),),
+            lambda x: (alg.values("scalar", T(x).data),),
+            lambda points, kind, v: (v >= 0, v, None),
+        )
+        if not fails:
+            with pytest.raises(Blowup):
+                verify_contraction(*args, seed=0)
+            with pytest.raises(Blowup):
+                image_check()
+            return
+        ce = verify_contraction(*args, seed=0).counterexample
+        assert ce["index"] == 3 and ce["x"] == float(xs[3])
+        check = image_check()
+        assert check.verdict == "fail"
+        assert check.witness == {"points": {"x": float(xs[3])},
+                                 "offending": {"kind": "scalar", "value": -10.0}}
 
     def test_graphic_family_single_point(self):
         spec, _, d, phi, F, dom = sum_premetric_setup()

@@ -1,13 +1,16 @@
-"""Every name a source module imports is used there."""
+"""Every name a source or test module imports is used there, and every
+alias.name reference to a cstarfix module in the sources resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).parent.parent
 # __init__.py is left out: its imports are the package's re-exports
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "cstarfix").glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(p for p in (ROOT / "src" / "cstarfix").glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -32,10 +35,35 @@ def _exported(tree: ast.Module) -> set:
     return set()
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def _package_modules(tree: ast.Module) -> dict:
+    """The names a source module binds to cstarfix modules, as in
+    `from . import algebra as alg`, each with its module's full name."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"cstarfix.{alias.name}"
+    return modules
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used | _exported(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_package_module_attribute_resolves(path):
+    # such a reference on an error path, say `except alg.SomeError`, runs only when that error does
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = _package_modules(tree)
+    missing = sorted(
+        (node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and not hasattr(importlib.import_module(modules[node.value.id]), node.attr)
+    )
+    assert not missing, f"{path.name} refers to names its modules lack: {missing}"

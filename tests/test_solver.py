@@ -16,7 +16,7 @@ from cstarfix.contractions import (
     verify_contraction,
     zero_phi,
 )
-from cstarfix.registry import get_combiner, get_operator, get_phi, get_space
+from cstarfix.registry import get_operator, get_phi, get_space
 from cstarfix.solver import (
     NonFiniteOrbitError,
     OrbitEscapeError,
@@ -27,7 +27,7 @@ from cstarfix.solver import (
     picard_solve,
     uniqueness_probe,
 )
-from cstarfix.spaces import Box, Interval, ValuedDistance
+from cstarfix.spaces import Interval, ValuedDistance
 
 
 def sum_premetric_problem():

@@ -597,11 +597,25 @@ def test_induced_metric_of_a_wrong_kind_p_names_p(fn):
         check_metric_axioms(d, Interval(0.0, 1.0), 20, 0)
 
 
-def test_each_row_reports_the_first_row_of_another_size():
-    def fn(x):
-        return alg.vector([x] * (2 if x < 3 else 3))
+@pytest.mark.parametrize("fails", [True, False])
+def test_a_row_of_another_size_does_not_hide_an_earlier_counterexample(fails):
+    # samples 3..6 form one chunk: a per-point phi gives a 3-vector at sample 5
+    # of a 2-vector space, and T breaks the contraction at sample 3 when fails
+    domain = Interval(0.0, 1.0)
+    xs = domain.sample_many(np.random.default_rng(0), 20)[0::2].tolist()
 
-    with pytest.raises(alg.RowFailure) as failure:
-        spaces.each_row(fn, Points(np.arange(6.0)))
-    assert failure.value.row == 3
-    assert isinstance(failure.value.error, alg.DimensionMismatchError)
+    def phi(x):
+        return alg.vector([0.0] * (3 if x == xs[5] else 2))
+
+    def t(x):
+        return 10.0 if fails and x == xs[3] else 0.5 * x
+
+    args = (ContractionSpec("plain", k=0.5), OperatorSpec(t, "t"),
+            ValuedDistance("vector", 2, lambda x, y: alg.vector([abs(x - y)] * 2), "metric"),
+            PhiFunction(phi, "sized"), get_combiner("sum"), domain, 10)
+    if not fails:
+        with pytest.raises(alg.DimensionMismatchError):
+            verify_contraction(*args, seed=0)
+        return
+    ce = verify_contraction(*args, seed=0).counterexample
+    assert ce["index"] == 3 and ce["x"] == xs[3]
