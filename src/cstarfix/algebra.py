@@ -177,14 +177,11 @@ def _raw(kind: Kind, data: np.ndarray) -> AlgebraElement:
 
 def values(kind: Kind, data) -> AlgebraElement:
     """The element, or the stack of elements, of freshly computed data.
-    Matrix data are cast to complex and must be finite, as matrix() requires:
-    a stack with a non-finite row raises AlgebraError, and the scan finds
-    the row (see spaces.head_evaluated). Real data are taken as they are, as
-    _raw takes them."""
+    Matrix data of any shape are cast to complex and must be finite, else
+    AlgebraError; the scan finds a stack's non-finite row (see
+    spaces.head_evaluated). Real data are taken unchecked, as _raw takes them."""
     if kind != "matrix":
         return _raw(kind, np.asarray(data, dtype=float))
-    if np.ndim(data) == 2:
-        return matrix(data)
     data = np.asarray(data, dtype=complex)
     if not np.isfinite(data).all():
         raise AlgebraError("element data must be finite")

@@ -252,8 +252,8 @@ def main(argv=None) -> int:
         parser.error("--seed must be non-negative")
     if args.samples < 1:
         parser.error("--samples must be at least 1")
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
+    if not 0 < args.tol < float("inf"):  # nan fails both comparisons
+        parser.error("--tol must be positive and finite")
     try:
         return args.func(args)
     except (ConfigError, InvalidSpecError, UnknownNameError) as exc:

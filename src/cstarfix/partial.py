@@ -28,7 +28,7 @@ from .contractions import (
     uniform_samples,
 )
 from .solver import ConvergenceCertificate, SolveConfig, picard_solve
-from .spaces import Domain, ValuedDistance, induced_metric
+from .spaces import Domain, ValuedDistance, induced_metric, rowwise
 
 __all__ = [
     "PartialProblem",
@@ -52,11 +52,13 @@ class PartialProblem:
 def reduce_problem(
     problem: PartialProblem,
 ) -> tuple[ValuedDistance, PhiFunction, FFunction, ContractionSpec]:
-    """Induced metric, self-distance penalty, sum combiner, same constants."""
+    """Induced metric, self-distance penalty, sum combiner, same constants;
+    the metric and the penalty are rowwise when p's fn is."""
     p = problem.p
-    d = induced_metric(p)
-    phi = PhiFunction(lambda x: p(x, x), label="self-distance")
-    return d, phi, sum_combiner(), problem.spec
+    phi = PhiFunction(lambda x: p(x, x), "self-distance")
+    if getattr(p.fn, "rowwise", False):
+        rowwise(phi.fn)
+    return induced_metric(p), phi, sum_combiner(), problem.spec
 
 
 def corollary_sides(

@@ -65,14 +65,10 @@ class SolveConfig:
     domain: Optional[Domain] = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # nan fails both comparisons
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-
-def _recorded(n: int) -> bool:
-    return n <= DENSE_RECORD_LIMIT or n % SPARSE_RECORD_STRIDE == 0
 
 
 def _finite(x) -> bool:
@@ -90,6 +86,11 @@ def _next(T: OperatorSpec, x, n: int, domain: Optional[Domain]):
     if domain is not None and not domain.contains(x_next):
         raise OrbitEscapeError(n, x_next)
     return x_next
+
+
+def _norms(values: alg.AlgebraElement) -> np.ndarray:
+    """The norm of each row of a stack of values."""
+    return alg.norm_rows(values.kind, values.data)
 
 
 @dataclass
@@ -163,32 +164,36 @@ def picard_solve(
     f0 = F(d(x_next, x), phi(x_next), phi(x))
     bound = alg.norm(f0) / (1.0 - rate)
 
-    iterates, indices, steps, bounds, phis = [], [], [], [], []
+    iterates, indices, steps, bounds = [], [], [], []
     converged_step = False
     n = 0
-    for n in range(cfg.max_iter):
-        if n:  # the first iterate T(x0) is already known
-            x_next = _next(T, x, n, cfg.domain)
-        step_norm = alg.norm(d(x_next, x))
-        if _recorded(n):
-            iterates.append(x)
-            indices.append(n)
-            steps.append(step_norm)
-            bounds.append(bound)
-            phis.append(alg.norm(phi(x)))
-        bound *= rate
-        x = x_next
-        if step_norm <= cfg.tol:
-            converged_step = True
-            break
-
+    try:
+        for n in range(cfg.max_iter):
+            if n:  # the first iterate T(x0) is already known
+                x_next = _next(T, x, n, cfg.domain)
+            step_norm = alg.norm(d(x_next, x))
+            if n <= DENSE_RECORD_LIMIT or n % SPARSE_RECORD_STRIDE == 0:
+                iterates.append(x)
+                indices.append(n)
+                steps.append(step_norm)
+                bounds.append(bound)
+            bound *= rate
+            x = x_next
+            if step_norm <= cfg.tol:
+                converged_step = True
+                break
+    finally:
+        # one phi call over the recorded iterates; its error precedes a later step's
+        iterates = np.array(iterates, dtype=float)
+        if indices:  # empty only if step 0 raised
+            phis = _norms(phi(Points(iterates)))
     residuals = certify_phi_fixed_point(x, T, d, phi, cfg.tol)
     return ConvergenceCertificate(
-        iterates=np.array(iterates, dtype=float),
+        iterates=iterates,
         recorded_indices=indices,
         step_norms=np.array(steps),
         apriori_bounds=np.array(bounds),
-        phi_residuals=np.array(phis),
+        phi_residuals=phis,
         z=x,
         residual_fixed=residuals["residual_fixed"],
         residual_phi=residuals["residual_phi"],
@@ -223,14 +228,12 @@ def bound_audit(
     """
     if not cert.converged:
         raise SolverError("bound audit requires a converged certificate")
-    rows = []
-    max_violation = -np.inf
-    points, bounds = Points(cert.iterates).rows(), cert.apriori_bounds.tolist()
-    for x, n, bound in zip(points, cert.recorded_indices, bounds):
-        actual = alg.norm(d(x, cert.z))
-        violation = actual - bound
-        max_violation = max(max_violation, violation)
-        rows.append({"n": n, "actual": actual, "bound": bound, "violation": violation})
+    actual = _norms(d(Points(cert.iterates), cert.z))
+    violation = (actual - cert.apriori_bounds).tolist()
+    columns = cert.recorded_indices, actual.tolist(), cert.apriori_bounds.tolist(), violation
+    rows = [{"n": n, "actual": a, "bound": b, "violation": v} for n, a, b, v in zip(*columns)]
+    # the builtin max: a nan violation is never taken as the maximum
+    max_violation = max([-np.inf, *violation])
     return {
         "passed": max_violation <= tol,
         "max_violation": max_violation,
@@ -262,17 +265,15 @@ def uniqueness_probe(
         except SolverError as exc:
             exc.add_note(f"in the solve from start #{i}")
             raise
-    pairwise = []
-    all_close = True
-    for i in range(len(certs)):
-        for j in range(i + 1, len(certs)):
-            dist = alg.norm(d(certs[i].z, certs[j].z))
-            pairwise.append({"i": i, "j": j, "distance_norm": dist})
-            all_close = all_close and dist <= tol
+    first, second = np.triu_indices(len(certs), 1)
+    limits = np.array([c.z for c in certs], dtype=float)
+    dists = _norms(d(Points(limits[first]), Points(limits[second]))).tolist()
+    pairwise = [{"i": i, "j": j, "distance_norm": dist}
+                for i, j, dist in zip(first.tolist(), second.tolist(), dists)]
     return {
         "limits": [point_repr(c.z) for c in certs],
         "pairwise": pairwise,
-        "all_below_tol": all_close,
+        "all_below_tol": all(dist <= tol for dist in dists),
         "tol": tol,
         "certificates": certs,
     }

@@ -307,3 +307,14 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as exc:
             main(["demo", "ex2.4", "--tol", "-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_rejected(self, tmp_path, capsys, tol):
+        # --tol inf certified this orbit after one step; --tol nan ran to max_iter
+        cfg = write(tmp_path, "s.json", {**_VERIFY, "x0": 0.5})
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", cfg, f"--tol={tol}"])  # "-inf" alone reads as a flag
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol must be positive and finite" in captured.err

@@ -12,6 +12,7 @@ from cstarfix.partial import (
 )
 from cstarfix.registry import get_operator, get_space
 from cstarfix.solver import SolveConfig
+from cstarfix.spaces import Points, ValuedDistance, rowwise
 from helpers import sample_points
 
 
@@ -37,6 +38,34 @@ class TestReduce:
         d, phi, _, _ = reduce_problem(problem)
         assert alg.norm(phi(0.7)) == 0.0
         assert np.allclose(d(0.1, 0.6).data, 2 * space.distance(0.1, 0.6).data)
+
+    @pytest.mark.parametrize("space_name",
+                             ["max_unit_interval", "shifted_max_matrix", "absdiff_pair"])
+    def test_self_distance_penalty_takes_a_stack_in_one_call(self, space_name):
+        # the penalty is rowwise as p's fn is, and each row has the bits of
+        # the penalty at that one point
+        space = get_space(space_name)
+        calls = []
+
+        def counted(x, y):
+            calls.append(x)
+            return space.distance.fn(x, y)
+
+        p = ValuedDistance(space.distance.kind, space.distance.n, rowwise(counted), "partial")
+        _, phi, _, _ = reduce_problem(PartialProblem(p, get_operator("halving"),
+                                                     ContractionSpec("plain", k=0.5)))
+        xs = np.array(sample_points(space.domain, 40, seed=3))
+        column = phi(Points(xs))
+        assert len(calls) == 1
+        rows = [phi(x).data for x in xs.tolist()]
+        assert column.data.tobytes() == np.array(rows).tobytes()
+
+    def test_per_point_self_distance_penalty_stays_per_point(self):
+        p = ValuedDistance("scalar", 1, lambda x, y: alg.scalar(max(x, y)), "partial")
+        _, phi, _, _ = reduce_problem(PartialProblem(p, get_operator("halving"),
+                                                     ContractionSpec("plain", k=0.5)))
+        assert not getattr(phi.fn, "rowwise", False)
+        assert phi(Points(np.array([0.25, 0.5]))).data.tolist() == [0.25, 0.5]
 
     def test_constants_map_identically(self):
         problem, _ = max_problem(ContractionSpec("chatterjea", k=0.4), "quartering")

@@ -11,11 +11,13 @@ from cstarfix import algebra as alg
 from cstarfix.contractions import (
     ContractionSpec,
     OperatorSpec,
+    PhiFunction,
     square_first_combiner,
     sum_combiner,
     verify_contraction,
     zero_phi,
 )
+from cstarfix.partial import PartialProblem, reduce_problem, solve_partial
 from cstarfix.registry import get_operator, get_phi, get_space
 from cstarfix.solver import (
     NonFiniteOrbitError,
@@ -27,7 +29,8 @@ from cstarfix.solver import (
     picard_solve,
     uniqueness_probe,
 )
-from cstarfix.spaces import Interval, ValuedDistance
+from cstarfix.spaces import Interval, ValuedDistance, rowwise
+from helpers import reference_bound_audit, reference_picard_solve, reference_uniqueness_probe
 
 
 def sum_premetric_problem():
@@ -175,8 +178,10 @@ class TestPicardSolve:
         assert len(lines) == len(cert.recorded_indices) + 1
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            SolveConfig(x0=0.0, tol=0.0)
+        # an infinite tol would certify any first step, a nan one none
+        for tol in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SolveConfig(x0=0.0, tol=tol)
         with pytest.raises(ValueError):
             SolveConfig(x0=0.0, max_iter=0)
 
@@ -482,3 +487,123 @@ class TestUniquenessProbe:
                 starts=[0.5],
                 cfg=SolveConfig(x0=0.5),
             )
+
+
+def scale_map(c, per_point=False):
+    def fn(x):
+        return c * x
+
+    return OperatorSpec(fn if per_point else rowwise(fn), "scale")
+
+
+def user_problem(c):
+    """Per-point user callables on [-1, 1]: the orbit of c x under |x - y|."""
+    phi = PhiFunction(lambda x: alg.scalar(0.5 * abs(x)), "half-abs")
+    return scale_map(c, per_point=True), abs_metric(), phi, sum_combiner(), Interval(-1.0, 1.0)
+
+
+def registry_problem(space_name, phi_name, c):
+    space = get_space(space_name)
+    return scale_map(c), space.distance, get_phi(phi_name), sum_combiner(), space.domain
+
+
+def partial_problem(c):
+    problem = PartialProblem(get_space("max_unit_interval").distance, scale_map(c),
+                             ContractionSpec("plain", k=c))
+    d, phi, F, _ = reduce_problem(problem)
+    return problem, (problem.T, d, phi, F, Interval(0.0, 1.0))
+
+
+def outcome(fn, *args):
+    """The JSON bytes of fn's result, or the type and message of its error."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, dict) and "certificates" in result:
+        result = {**result, "certificates": [c.to_dict() for c in result["certificates"]]}
+    return json.dumps(result)
+
+
+def corner(domain, u, v):
+    """The point (u, v) of the unit square mapped into domain."""
+    if isinstance(domain, Interval):
+        return domain.lo + u * (domain.hi - domain.lo)
+    return np.array([iv.lo + w * (iv.hi - iv.lo) for iv, w in zip(domain.intervals, (u, v))])
+
+
+class TestStackedColumns:
+    """The solver evaluates phi, the audit distances and the probe distances
+    as one stack each; the per-point loop in tests/helpers.py is the
+    reference for their bytes and for the order of errors."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(c=st.floats(0.05, 0.9), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+    @pytest.mark.parametrize("case", ["user", "sum_premetric", "diag_absdiff_matrix", "partial"])
+    def test_output_matches_per_point_reference(self, case, c, u, v):
+        if case == "partial":
+            problem, (T, d, phi, F, domain) = partial_problem(c)
+        elif case == "user":
+            T, d, phi, F, domain = user_problem(c)
+        elif case == "sum_premetric":
+            T, d, phi, F, domain = registry_problem(case, "coordinate_pair", c)
+        else:
+            T, d, phi, F, domain = registry_problem(case, "spread_matrix", c)
+        spec = ContractionSpec("plain", k=c)
+        cfg = SolveConfig(x0=corner(domain, u, v), tol=1e-10, domain=domain)
+        cert = picard_solve(T, d, phi, F, spec, cfg)
+        want = reference_picard_solve(T, d, phi, F, spec, cfg)
+        assert json.dumps(cert.to_dict()) == json.dumps(want.to_dict())
+        assert cert.to_csv() == want.to_csv()
+        assert outcome(bound_audit, cert, d) == outcome(reference_bound_audit, want, d)
+        starts = [cfg.x0, corner(domain, v, u), corner(domain, 1.0, 0.0)]
+        args = (T, d, phi, F, spec, starts, cfg)
+        assert outcome(uniqueness_probe, *args) == outcome(reference_uniqueness_probe, *args)
+        if case == "partial":
+            result = solve_partial(problem, cfg)
+            assert json.dumps(result.certificate.to_dict()) == json.dumps(want.to_dict())
+
+    def test_per_point_phi_called_once_per_recorded_row(self):
+        # phi(T x0) and phi(x0) build the envelope and phi(z) is the final
+        # residual; every other call is one row of the stacked phi column
+        calls = []
+        phi = PhiFunction(lambda x: calls.append(x) or alg.scalar(0.5 * abs(x)), "counted")
+        cert = picard_solve(
+            scale_map(0.99), abs_metric(), phi, sum_combiner(), ContractionSpec("plain", k=0.99),
+            SolveConfig(x0=0.9, tol=1e-10),
+        )
+        assert cert.iterations > 1000
+        assert len(calls) == len(cert.recorded_indices) + 3
+
+    class PhiFailed(Exception):
+        pass
+
+    class StepFailed(Exception):
+        pass
+
+    @pytest.mark.parametrize(
+        "phi_below, T_below, error",
+        [(0.3, 0.1, PhiFailed), (0.2, 0.3, StepFailed), (0.3, 0.3, StepFailed),
+         (0.0, 0.1, StepFailed)],
+        ids=["phi-at-earlier-row", "step-before-phi-row", "same-point", "phi-fine"],
+    )
+    def test_phi_error_precedes_a_later_step_error(self, phi_below, T_below, error):
+        # the orbit 1, 1/2, 1/4, 1/8, ...: phi fails at the first iterate below
+        # phi_below, T at the first below T_below
+        def T_fn(x):
+            if x < T_below:
+                raise self.StepFailed(x)
+            return 0.5 * x
+
+        def phi_fn(x):
+            if x < phi_below:
+                raise self.PhiFailed(x)
+            return alg.scalar(x)
+
+        args = (OperatorSpec(T_fn, "halving"), abs_metric(), PhiFunction(phi_fn, "identity"),
+                sum_combiner(), ContractionSpec("plain", k=0.5), SolveConfig(x0=1.0, tol=1e-10))
+        with pytest.raises(error) as got:
+            picard_solve(*args)
+        with pytest.raises(error) as want:
+            reference_picard_solve(*args)
+        assert got.value.args == want.value.args
