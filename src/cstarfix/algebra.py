@@ -98,20 +98,21 @@ class AlgebraElement:
     of members of one kind and size (see stacked)."""
 
     kind: Kind
-    data: np.ndarray = field(repr=False)
+    data: np.ndarray | np.float64 = field(repr=False)
 
     def __post_init__(self):
         if self.kind == "scalar":
-            # one float(): every per-point distance value is built here
+            # every per-point distance value is built here; a float64 is
+            # immutable, so it needs neither a copy nor a write flag
+            if isinstance(self.data, np.complexfloating):  # float() drops its imaginary part
+                raise AlgebraError("scalar data must be a real number")
             try:
-                value = float(np.asarray(self.data))
-            except TypeError:
+                value = np.float64(float(self.data))
+            except (TypeError, ValueError):
                 raise AlgebraError("scalar data must be a real number") from None
             if not math.isfinite(value):
                 raise AlgebraError("element data must be finite")
-            arr = np.array(value)
-            arr.setflags(write=False)
-            object.__setattr__(self, "data", arr)
+            object.__setattr__(self, "data", value)
             return
         arr = np.asarray(self.data)
         if self.kind == "vector":
@@ -181,7 +182,8 @@ def values(kind: Kind, data) -> AlgebraElement:
     AlgebraError; the scan finds a stack's non-finite row (see
     spaces.head_evaluated). Real data are taken unchecked, as _raw takes them."""
     if kind != "matrix":
-        return _raw(kind, np.asarray(data, dtype=float))
+        # one point's value is a float64, as scalar() stores it
+        return _raw(kind, np.float64(data) if isinstance(data, float) else np.asarray(data, dtype=float))
     data = np.asarray(data, dtype=complex)
     if not np.isfinite(data).all():
         raise AlgebraError("element data must be finite")
@@ -189,7 +191,7 @@ def values(kind: Kind, data) -> AlgebraElement:
 
 
 def scalar(value: float) -> AlgebraElement:
-    return AlgebraElement("scalar", np.asarray(value, dtype=float))
+    return AlgebraElement("scalar", value)
 
 
 def vector(values) -> AlgebraElement:
@@ -375,7 +377,8 @@ def norm(a: AlgebraElement) -> float:
     if a.kind == "scalar":
         return abs(float(a.data))
     if a.kind == "vector":
-        return float(np.max(np.abs(a.data)))
+        # the ndarray method skips np.max's wrapper; max is exact, so the bits agree
+        return float(np.abs(a.data).max())
     # Largest singular value: bit for bit what np.linalg.norm(a, 2) returns,
     # without its axis-normalising wrapper.
     return float(np.linalg.svd(a.data, compute_uv=False)[0])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cstarfix import algebra as alg
@@ -261,19 +261,55 @@ def _ref_scalar_data(value) -> np.ndarray:
 _finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _bits(e) -> bytes:
+    return np.asarray(e.data).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(
+@given(
+    st.one_of(
+        _finite_floats,
+        _finite_floats.map(np.float64),
+        _finite_floats.map(np.asarray),
+        st.integers(-(2**53), 2**53),
+    ),
     _finite_floats,
-    _finite_floats.map(np.float64),
-    _finite_floats.map(np.asarray),
-    st.integers(-(2**53), 2**53),
-))
-def test_scalar_fast_path_matches_general_construction(value):
+    _finite_floats,
+)
+@example(-0.0, 0.0, -1.0)
+@example(np.float64(-0.0), -0.0, 0.0)
+@example(1e308, 1e308, -1e308)
+def test_scalar_fast_path_matches_general_construction(value, other, t):
     ref = _ref_scalar_data(value)
-    for e in (alg.scalar(value), alg.AlgebraElement("scalar", value)):
+    built = [alg.scalar(value), alg.AlgebraElement("scalar", value)]
+    if isinstance(value, float):  # a float or a float64: one point's computed value
+        built.append(alg.values("scalar", value))
+    for e in built:
+        assert e.kind == "scalar" and not e.stacked
         assert e.data.dtype == np.float64 and e.data.shape == ()
         assert e.data.tobytes() == ref.tobytes()
         assert not e.data.flags.writeable
+    # the arithmetic gives the bits it gave on read-only 0-d arrays, overflow included
+    olds = alg._raw("scalar", ref), alg._raw("scalar", _ref_scalar_data(other))
+    for e in built:
+        news = e, alg.scalar(other)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op in (alg.add, alg.sub, alg.mul):
+                for i, j in ((0, 1), (1, 0)):
+                    assert _bits(op(news[i], news[j])) == _bits(op(olds[i], olds[j]))
+            assert _bits(alg.scale(t, e)) == _bits(alg.scale(t, olds[0]))
+        assert alg.norm(e).hex() == alg.norm(olds[0]).hex()
+
+
+@pytest.mark.parametrize("value", [
+    np.nan, np.inf, -np.inf, np.float64(np.nan), np.array(np.inf),
+    "x", None, [1.0], np.array([1.0]), 1j, np.complex128(1.0), np.complex64(1.0),
+])
+def test_scalar_rejects_non_finite_or_non_real_data(value):
+    with pytest.raises(alg.AlgebraError):
+        alg.scalar(value)
+    with pytest.raises(alg.AlgebraError):
+        alg.AlgebraElement("scalar", value)
 
 
 # Reference copy of the SVD-based matrix order cone the algebra module used
@@ -490,3 +526,19 @@ def test_stacked_order_cone_matches_row_reference(operand):
 def test_stack_of_mixed_kinds_or_sizes_raises(elements):
     with pytest.raises(DimensionMismatchError):
         alg.stack([elements[0], *elements])
+
+
+_entry = st.one_of(_finite_floats, st.sampled_from([-0.0, 0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=1, max_size=4)))
+@example([[-0.0]])
+@example([[-0.0, 0.0], [0.0, -0.0]])
+@example([[-2.5, 2.5, -1.0], [1.0, -3.0, 3.0]])
+@example([[7.0], [-7.0], [-0.0]])
+def test_vector_norm_matches_its_norm_rows_row(rows):
+    norms = alg.norm_rows("vector", np.array(rows, dtype=float))
+    for row, nrm in zip(rows, norms.tolist()):
+        assert alg.norm(alg.vector(row)).hex() == nrm.hex()

@@ -165,6 +165,23 @@ class TestSolvePartial:
         assert result.certified
         assert result.self_distance_norm == 0.0
 
+    @pytest.mark.parametrize("space_name", ["max_unit_interval", "shifted_max_matrix", "absdiff_pair"])
+    @pytest.mark.parametrize("operator", ["halving", "identity"])
+    @pytest.mark.parametrize("x0", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("max_iter", [3, 10_000])
+    def test_self_distance_fields_are_the_certificates(self, space_name, operator, x0, max_iter):
+        space = get_space(space_name)
+        problem = PartialProblem(space.distance, get_operator(operator),
+                                 ContractionSpec("plain", k=0.5))
+        cfg = SolveConfig(x0=x0, tol=1e-10, max_iter=max_iter, domain=space.domain)
+        result = solve_partial(problem, cfg)
+        cert = result.certificate
+        # the penalty is p(x, x), so its residual at z is the self-distance
+        self_norm = alg.norm(problem.p(cert.z, cert.z))
+        assert result.self_distance_norm.hex() == self_norm.hex() == cert.residual_phi.hex()
+        assert result.certified is cert.converged
+        assert result.certified == (cert.converged and self_norm <= cfg.tol)
+
     def test_success_implies_both_residuals(self):
         problem, domain = max_problem(ContractionSpec("kannan", k=1 / 3), "quartering")
         result = solve_partial(problem, SolveConfig(x0=1.0, tol=1e-10, domain=domain))
