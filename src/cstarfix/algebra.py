@@ -104,7 +104,9 @@ class AlgebraElement:
         if self.kind == "scalar":
             # every per-point distance value is built here; a float64 is
             # immutable, so it needs neither a copy nor a write flag
-            if isinstance(self.data, np.complexfloating):  # float() drops its imaginary part
+            # one isinstance on the per-point path; float() would parse str and
+            # bytes, and drop a complex's imaginary part
+            if not isinstance(self.data, float) and np.asarray(self.data).dtype.kind not in "biuf":
                 raise AlgebraError("scalar data must be a real number")
             try:
                 value = np.float64(float(self.data))
@@ -115,6 +117,8 @@ class AlgebraElement:
             object.__setattr__(self, "data", value)
             return
         arr = np.asarray(self.data)
+        if arr.dtype.kind not in "biufc":  # float() and complex() parse str and bytes
+            raise AlgebraError("element data must be numbers")
         if self.kind == "vector":
             arr = np.asarray(arr, dtype=float)
             if arr.ndim != 1 or arr.size == 0:
@@ -195,11 +199,11 @@ def scalar(value: float) -> AlgebraElement:
 
 
 def vector(values) -> AlgebraElement:
-    return AlgebraElement("vector", np.asarray(values, dtype=float))
+    return AlgebraElement("vector", values)
 
 
 def matrix(values) -> AlgebraElement:
-    return AlgebraElement("matrix", np.asarray(values, dtype=complex))
+    return AlgebraElement("matrix", values)
 
 
 def zero(kind: Kind, n: int = 1) -> AlgebraElement:
@@ -319,20 +323,25 @@ def positive_rows(
     which the default eps is taken. A row of infinite norm would get an
     infinite default eps, so it is outside the cone."""
     norms = norm_rows(kind, data)
+    return in_cone(kind, data, norms, tol), norms
+
+
+def in_cone(kind: Kind, data: np.ndarray, norms: np.ndarray, tol: OrderTolerance | None = None):
+    """The first array of positive_rows, given the stack's norm_rows."""
     eps = _resolve_eps(norms, tol)
     finite = np.isfinite(norms)
     if kind == "scalar":
-        return (data >= -eps) & finite, norms
+        return (data >= -eps) & finite
     if kind == "vector":
-        return (np.min(data, axis=1) >= -eps) & finite, norms
+        return (np.min(data, axis=1) >= -eps) & finite
     if not finite.all():
         # the SVD and eigvalsh need not converge on such a row
         ok = np.zeros(len(data), dtype=bool)
-        ok[finite] = positive_rows(kind, data[finite], tol)[0]
-        return ok, norms
+        ok[finite] = in_cone(kind, data[finite], norms[finite], tol)
+        return ok
     asym, hermitian_part = _hermitian_split(data)
     lowest = np.linalg.eigvalsh(hermitian_part)[:, 0]
-    return (asym <= eps) & (lowest >= -eps), norms
+    return (asym <= eps) & (lowest >= -eps)
 
 
 def max_asymmetry(a: AlgebraElement) -> float:
@@ -428,5 +437,6 @@ def element_from_dict(d: dict) -> AlgebraElement:
     if kind == "vector":
         return vector(d["values"])
     if kind == "matrix":
-        return matrix(np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float))
+        re, im = (matrix(d[part]).data.real for part in ("re", "im"))  # checked numbers
+        return matrix(re + 1j * im)
     raise AlgebraError(f"unknown serialized kind {kind!r}")

@@ -30,9 +30,11 @@ from .spaces import (
     below,
     first_failure,
     head_evaluated,
+    over_pairs,
     over_rows,
     point_repr,
     rowwise,
+    split_rows,
     vanishes,
 )
 
@@ -188,11 +190,11 @@ def _three_weights(s: ContractionSpec) -> None:
 class FamilyRule(NamedTuple):
     check: Callable[[ContractionSpec], None]  # raises InvalidSpecError on bad constants
     rate: Callable[[ContractionSpec], float]  # per-step geometric factor of an orbit
-    # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed; over elements or stacks
-    rhs: Callable[..., AlgebraElement]
+    # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed, read at names of points
+    rhs: Callable[..., np.ndarray]
     single_point: bool = False  # sampled at points x, not pairs (x, y)
     stratified: bool = False  # half of the samples put y near T(x)
-    partial_rhs: Optional[Callable[..., AlgebraElement]] = None  # rhs in partial mode
+    partial_rhs: Optional[Callable[..., np.ndarray]] = None  # rhs in partial mode
 
 
 # Rates: s_n is the step value at (x_n, x_{n+1}) on the orbit x_{n+1} = T x_n,
@@ -230,7 +232,10 @@ FAMILIES: dict[str, FamilyRule] = {
         # d(y, Tx) = 0 and d(x, Ty) <= s_n + s_{n+1}: s_{n+1} <= k (s_n + s_{n+1})
         rate=lambda s: s.k / (1.0 - s.k),
         rhs=lambda s, t, r, x, y, Tx, Ty: s.k * (r(x, Ty) + t(y, Tx)),
-        # p(x, Ty) unrelaxed: not the reduced metric form (a FOUND line in CHANGES.md)
+        # p(x, Ty) unrelaxed: not the reduced metric form (a FOUND line in CHANGES.md).
+        # Its rate is sound: at (x, y) = (x_n, x_{n+1}) the partial triangle p(x_n, x_{n+2})
+        # <= p(x_n, x_{n+1}) + p(x_{n+1}, x_{n+2}) - p(x_{n+1}, x_{n+1}) turns the inequality
+        # into s_{n+1} <= k (s_n + s_{n+1}), s_n = ||2 p(x_n, x_{n+1})|| the reduced step
         partial_rhs=lambda s, t, r, x, y, Tx, Ty: s.k * (t(x, Ty) + t(y, Tx)),
     ),
 }
@@ -357,16 +362,33 @@ class VerificationResult:
         return d
 
 
-def family_sides(spec: ContractionSpec, T: OperatorSpec, term, relaxed, x, y,
+def family_sides(spec: ContractionSpec, T: OperatorSpec, table, x, y,
                  partial: bool = False) -> tuple[AlgebraElement, AlgebraElement]:
-    """Both sides of the family inequality in the mode given by term(u, v) and
-    relaxed(u, v). The left side is term(Tx, Ty); a single-point family is
-    evaluated at the orbit pair (x, y) = (Tx, x), so T runs on x and Tx."""
+    """Both sides of the family inequality, t(Tx, Ty) and the row's right
+    side. T runs on x and y stacked; a single-point family is evaluated at
+    the orbit pair (x, y) = (Tx, x), so T runs on x, then on Tx. The row
+    combines value arrays of table(points, pairs, relaxed), the mode's kind,
+    t at pairs and r at relaxed, (u, v) indices into the point arrays."""
     rule = FAMILIES[spec.family]
-    Tx = T(x)
-    x, y, Tx, Ty = (Tx, x, T(Tx), Tx) if rule.single_point else (x, y, Tx, T(y))
     rhs = rule.partial_rhs if partial and rule.partial_rhs else rule.rhs
-    return term(Tx, Ty), rhs(spec, term, relaxed, x, y, Tx, Ty)
+    single = not isinstance(x, Points)
+    if single:  # a point or pair is a stack of one row
+        x, y = (None if p is None else Points(np.array([p])) for p in (x, y))
+    if rule.single_point:
+        Tx = T(x)
+        points, names = (Tx.data, x.data, T(Tx).data), (0, 1, 2, 0)
+    else:
+        images = T(Points(np.concatenate((x.data, y.data)))).data
+        points, names = (x.data, y.data, images[: len(x)], images[len(x) :]), (0, 1, 2, 3)
+    # running the row on the names of x, y, Tx and Ty finds the pairs it reads
+    pairs, relaxed = {names[2:]: None}, {}
+    rhs(spec, lambda *pair: pairs.setdefault(pair) or 0.0,
+        lambda *pair: relaxed.setdefault(pair) or 0.0, *names)
+    kind, t, r = table(points, list(pairs), list(relaxed))
+    lhs, right = t[names[2:]], rhs(spec, lambda *pair: t[pair], lambda *pair: r[pair], *names)
+    if single:
+        lhs, right = lhs[0], right[0]
+    return alg._raw(kind, lhs), alg._raw(kind, right)
 
 
 def inequality_sides(
@@ -380,15 +402,24 @@ def inequality_sides(
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Both sides of the family inequality at a sampled point or pair, or as
     stacks over Points; term is F(d(u, v), phi(u), phi(v)) and relaxed
-    subtracts F(theta, phi(u), phi(v))."""
+    subtracts F(theta, phi(u), phi(v)), each callable run once."""
 
-    def term(u, v):
-        return F(d(u, v), phi(u), phi(v))
+    def table(points, pairs, relaxed):
+        rows, need = len(points[0]), pairs + relaxed
+        dist = over_pairs(d, points, need)
+        read = list(dict.fromkeys(c for pair in need for c in pair))
+        penalty = phi(Points(np.concatenate([points[c] for c in read])))
+        at = split_rows(penalty.data, read, rows)
+        pu, pv = (alg._raw(penalty.kind, np.concatenate([at[pair[k]] for pair in need]))
+                  for k in (0, 1))
+        terms = F(dist, pu, pv)
+        t, r = split_rows(terms.data, need, rows), {}
+        if relaxed:  # the relaxed pairs are the last rows of pu and pv
+            zero = F(alg.zero(d.kind, d.n), pu[len(pairs) * rows :], pv[len(pairs) * rows :])
+            r = {pair: t[pair] - z for pair, z in split_rows(zero.data, relaxed, rows).items()}
+        return terms.kind, t, r
 
-    def relaxed(u, v):
-        return term(u, v) - F(alg.zero(d.kind, d.n), phi(u), phi(v))
-
-    return family_sides(spec, T, term, relaxed, x, y)
+    return family_sides(spec, T, table, x, y)
 
 
 def uniform_samples(domain: Domain, count: int, rng: np.random.Generator, spec: ContractionSpec):

@@ -173,11 +173,11 @@ def over_rows(fn: Callable, *args):
     if not getattr(fn, "rowwise", False):
         return each_row(fn, *args)
     out = fn(*[a.data if isinstance(a, Points) else a for a in args])
+    if isinstance(out, AlgebraElement) and out.stacked:
+        return out
     first = next(a.data for a in args
                  if isinstance(a, Points) or isinstance(a, AlgebraElement) and a.stacked)
     if isinstance(out, AlgebraElement):
-        if out.stacked:
-            return out
         return alg._raw(out.kind, np.broadcast_to(out.data, (len(first), *out.data.shape)))
     out = np.asarray(out)
     return Points(out if out.ndim >= first.ndim else np.broadcast_to(out, (len(first), *out.shape)))
@@ -285,12 +285,25 @@ def _slice(columns: tuple, start: int, stop: int) -> tuple:
     return tuple(c[start:stop] for c in columns)
 
 
-def _value_columns(values: tuple) -> tuple[alg.Kind, np.ndarray]:
-    """Kind and (columns, rows, ...) array of an item's value stacks, which
-    must agree in kind and size."""
+def over_pairs(fn: Callable, columns, pairs: list):
+    """fn(columns[i], columns[j]) of each (i, j) in pairs, in turn, in one call."""
+    return fn(Points(np.concatenate([columns[i] for i, _ in pairs])),
+              Points(np.concatenate([columns[j] for _, j in pairs])))
+
+
+def split_rows(data: np.ndarray, keys: list, rows: int) -> dict:
+    """{key: its rows of data}, which holds rows rows per key in turn."""
+    return dict(zip(keys, data.reshape(len(keys), rows, *data.shape[1:])))
+
+
+def _value_columns(values: tuple) -> tuple[alg.Kind, list]:
+    """Kind and data arrays of an item's value stacks, which must agree in
+    kind, size and row count."""
     for v in values:
         alg._check_compatible(values[0], v)
-    return values[0].kind, np.stack([v.data for v in values])
+        if len(v.data) != len(values[0].data):
+            raise ValueError("value stacks differ in row count")
+    return values[0].kind, [v.data for v in values]
 
 
 def head_evaluated(fn: Callable, columns: tuple):
@@ -315,49 +328,108 @@ def head_evaluated(fn: Callable, columns: tuple):
 
 
 def first_failure(columns: tuple, evaluate: Callable, test: Callable):
-    """(best, failure): the first item failing test, as (index, item, kind,
-    offending row, the item's value rows), or None; best is the largest score
-    before it. The items are the rows of columns (Points or stacked
-    elements, all of one length), scanned in chunks of 1, 2, 4, ... rows up
-    to CHUNK_ROWS. evaluate(*columns) gets a chunk's columns and gives the
-    stacks of its items' algebra values, one row per item.
-    test(points, kind, *values), values[j] the row stack of the j-th value,
-    gives (ok, offending, score or None) per row.
+    """first_failures of the one test over all columns, evaluate(*columns)
+    giving its value stacks."""
+    return first_failures(columns, lambda live, *c: (evaluate(*c),), [(len(columns), test)])[0]
 
-    A failure at item i evaluates at most 2 i + 1 items. When evaluate
-    raises on a chunk, head_evaluated finds the first item it raises on;
-    the error, of any type, is raised only if no earlier item fails."""
-    count, start, size, best = _count(columns), 0, 1, 0.0
-    while start < count:
-        points = _slice(columns, start, min(start + size, count))
-        rows, values, error = head_evaluated(evaluate, points)
-        if rows:
-            points = _slice(points, 0, rows)
-            kind, stacks = _value_columns(values)
-            ok, offending, score = test(points, kind, *stacks)
-            bad = np.flatnonzero(~ok)
-            stop = int(bad[0]) if bad.size else rows
-            if score is not None and stop:
-                best = max(best, float(score[:stop].max()))
-            if bad.size:
-                item = tuple(c.row(stop) for c in points)
-                return best, (start + stop, item, kind, offending[stop], stacks[:, stop])
-        if error is not None:
-            raise error
-        start += size
-        size = min(2 * size, CHUNK_ROWS)
-    return best, None
+
+def first_failures(columns: tuple, evaluate: Callable, tests: list) -> list:
+    """Per (arity, test) in tests, (best, failure): its first failing item,
+    as (index, item, kind, offending row, the item's value rows), or None,
+    and the largest score before it. A test's items are the rows of its
+    first arity columns (Points or stacked elements, all of one length),
+    scanned in chunks of 1, 2, 4, ... rows up to CHUNK_ROWS: a failure at
+    item i evaluates at most 2 i + 1 items. evaluate(live, *columns), live
+    the indices of the tests still scanning, gives each one's stacks of its
+    items' values, one row per item; test(points, kind, *values) gives
+    (ok, offending, score or None) per row (see order_test). When evaluate
+    raises on a chunk, head_evaluated finds each live test's first raising
+    item; the error, of any type, ends the tests after it, and is raised if
+    no earlier item of that test fails and no earlier test raises."""
+    count, start, size, error = _count(columns), 0, 1, None
+    best, found, live = [0.0] * len(tests), [None] * len(tests), list(range(len(tests)))
+    while start < count and live:
+        chunk = _slice(columns, start, min(start + size, count))
+        try:  # one evaluation for all live tests; if it raises, each finds its own row
+            heads = [(_count(chunk), values, None) for values in evaluate(live, *chunk)]
+        except Exception:
+            heads = [head_evaluated(lambda *c, a=a: evaluate([a], *c)[0], chunk) for a in live]
+        held = [(a, rows, *_value_columns(v)) for a, (rows, v, _) in zip(live, heads) if rows]
+        results = _settle([(tests[a][1], (_slice(chunk[: tests[a][0]], 0, rows), kind, *stacks))
+                           for a, rows, kind, stacks in held])
+        outcome = {a: (kind, stacks, *got) for (a, _, kind, stacks), got in zip(held, results)}
+        still = []
+        for a, (rows, _, raised) in zip(live, heads):
+            if rows:
+                kind, stacks, ok, offending, score = outcome[a]
+                bad = np.flatnonzero(~ok)
+                stop = int(bad[0]) if bad.size else rows
+                if score is not None and stop:
+                    best[a] = max(best[a], float(score[:stop].max()))
+                if bad.size:
+                    item = tuple(c.row(stop) for c in chunk[: tests[a][0]])
+                    found[a] = start + stop, item, kind, offending[stop], [s[stop] for s in stacks]
+                    continue
+            if raised is not None:
+                error = raised
+                break
+            still.append(a)
+        live, start, size = still, start + size, min(2 * size, CHUNK_ROWS)
+    if error is not None:
+        raise error
+    return list(zip(best, found))
+
+
+def order_test(steps: Callable) -> Callable:
+    """A scan test written as a generator steps(points, kind, *values). It
+    yields (cone, norms): a stack whose rows must be positive, or None, and
+    stacks whose row norms it reads. Sent (positive_rows of cone, or None,
+    and the norm_rows of each of norms), it yields (ok, offending, score)."""
+
+    def test(points, kind, *values):
+        run = steps(points, kind, *values)
+        cone, norms = next(run)
+        return run.send((cone if cone is None else alg.positive_rows(kind, cone),
+                         tuple([alg.norm_rows(kind, a) for a in norms])))
+
+    test.steps = steps
+    return test
+
+
+def _settle(calls: list) -> list:
+    """The result of each (test, (points, kind, *values)): every array that
+    order tests ask for, cones included, is normed by one norm_rows call,
+    once even if asked for twice (as d(x, y) is by several axioms), and all
+    cones are tested by one in_cone call; one test, or a plain one, is called."""
+    if len(calls) < 2 or not all(hasattr(test, "steps") for test, _ in calls):
+        return [test(*args) for test, args in calls]
+    kind, runs = calls[0][1][1], [test.steps(*args) for test, args in calls]
+    asks = [next(run) for run in runs]
+    cones = [cone for cone, _ in asks if cone is not None]
+    arrays = list({id(a): a for a in cones + [a for _, norms in asks for a in norms]}.values())
+    norm = dict(zip(map(id, arrays), _split(alg.norm_rows(kind, np.concatenate(arrays)), arrays)))
+    if cones:
+        ok = alg.in_cone(kind, np.concatenate(cones), np.concatenate([norm[id(c)] for c in cones]))
+        held = zip(_split(ok, cones), [norm[id(c)] for c in cones])
+    return [run.send((cone if cone is None else next(held), tuple(norm[id(a)] for a in norms)))
+            for run, (cone, norms) in zip(runs, asks)]
+
+
+def _split(rows: np.ndarray, arrays: list) -> list:
+    """rows, one per row of arrays in turn, split by array."""
+    ends = itertools.accumulate(len(a) for a in arrays)
+    return [rows[end - len(a) : end] for a, end in zip(arrays, ends)]
 
 
 def axiom_check(
     axiom: str, columns: tuple, evaluate: Callable, test: Callable, describe=_named_points,
 ) -> AxiomCheck:
-    """Verdict of one sampled axiom over the items of columns, evaluate and
-    test as in first_failure. A fail
-    names the first failing item, witnessed by describe(item) and its
-    offending element; otherwise a pass over all items."""
-    _, failure = first_failure(columns, evaluate, test)
-    count = _count(columns)
+    """Verdict of one sampled axiom over the items of columns (see first_failure)."""
+    return _verdict(axiom, _count(columns), first_failure(columns, evaluate, test)[1], describe)
+
+
+def _verdict(axiom: str, count: int, failure, describe=_named_points) -> AxiomCheck:
+    """A pass over count items, or a fail witnessed by describe(item) and its offending row."""
     if failure is None:
         return AxiomCheck(axiom, "pass", count)
     _, item, kind, offending, _ = failure
@@ -368,62 +440,69 @@ def axiom_check(
 def _check_axioms(
     d: ValuedDistance, axioms: tuple, domain: Domain, sample_count: int, seed: int
 ) -> list:
-    """Each (name, arity, terms, test) in order, over cyclically consecutive
-    sampled points, pairs or triples; terms are the (i, j) index pairs of the
-    distances d(item[i], item[j]) that test is given."""
+    """Each (name, arity, terms, test) in one scan over cyclically consecutive
+    sampled points, pairs or triples; terms are the (i, j) of the distances
+    d(item[i], item[j]) that test is given. A chunk calls d once, on the
+    distinct pairs of the axioms still scanning."""
     pts = domain.sample_many(np.random.default_rng(seed), sample_count)
-    checks = []
-    for axiom, arity, terms, test in axioms:
-        # the points followed by their first arity - 1 again, repeated as often as needed
-        ext = np.resize(pts, (sample_count + arity - 1, *pts.shape[1:]))
-        columns = tuple(Points(ext[j : j + sample_count]) for j in range(arity))
+    # the points followed by their first two again, repeated as often as needed
+    ext = np.resize(pts, (sample_count + 2, *pts.shape[1:]))
+    columns = tuple(Points(ext[j : j + sample_count]) for j in range(3))
 
-        def evaluate(*item, terms=terms):
-            return tuple(d(item[i], item[j]) for i, j in terms)
+    def evaluate(live, *item):
+        pairs = list(dict.fromkeys(t for a in live for t in axioms[a][2]))
+        values = over_pairs(d, [c.data for c in item], pairs)
+        at = split_rows(values.data, pairs, _count(item))
+        return [tuple(alg._raw(values.kind, at[t]) for t in axioms[a][2]) for a in live]
 
-        checks.append(axiom_check(axiom, columns, evaluate, test))
-    return checks
+    found = first_failures(columns, evaluate, [(arity, test) for _, arity, _, test in axioms])
+    return [_verdict(row[0], sample_count, failure) for row, (_, failure) in zip(axioms, found)]
 
 
+@order_test
 def below(points, kind, low, high):
     """low <= high in the order cone, scored by the norm of high - low."""
     diff = high - low
-    ok, norms = alg.positive_rows(kind, diff)
-    return ok, diff, norms
+    (ok, norms), _ = yield diff, ()
+    yield ok, diff, norms
 
 
+@order_test
 def _nonnegative(points, kind, dxy):
-    return alg.positive_rows(kind, dxy)[0], dxy, None
+    (ok, _), _ = yield dxy, ()
+    yield ok, dxy, None
 
 
+@order_test
 def _symmetric(points, kind, dxy, dyx):
     diff = dxy - dyx
-    return alg.norm_rows(kind, diff) <= alg._default_eps(alg.norm_rows(kind, dxy)), diff, None
+    _, (off, scale) = yield None, (diff, dxy)
+    yield off <= alg._default_eps(scale), diff, None
 
 
-def _triangle(points, kind, dxz, dzy, dxy):
-    return below(points, kind, dxy, dxz + dzy)
+_triangle = order_test(lambda p, kind, dxz, dzy, dxy: below.steps(p, kind, dxy, dxz + dzy))
+# the partial triangle is corrected by the middle self-distance
+_partial_triangle = order_test(
+    lambda p, kind, dxz, dzy, dzz, dxy: below.steps(p, kind, dxy, dxz + dzy - dzz))
 
 
-def _partial_triangle(points, kind, dxz, dzy, dzz, dxy):
-    # the partial triangle is corrected by the middle self-distance
-    return below(points, kind, dxy, dxz + dzy - dzz)
-
-
+@order_test
 def _indistinguishable(points, kind, pxx, pyy, pxy):
     # converse direction: p(x,x) = p(y,y) = p(x,y) forces x = y
-    eps = alg._default_eps(alg.norm_rows(kind, pxy))
-    coincide = (alg.norm_rows(kind, pxx - pxy) <= eps) & (alg.norm_rows(kind, pyy - pxy) <= eps)
+    _, (scale, off_x, off_y) = yield None, (pxy, pxx - pxy, pyy - pxy)
+    eps = alg._default_eps(scale)
+    coincide = (off_x <= eps) & (off_y <= eps)
     xs, ys = (p.data.reshape(len(p), -1) for p in points)
     same_point = np.max(np.abs(xs - ys), axis=1) <= 1e-9
-    return ~coincide | same_point, pxy - pxx, None
+    yield ~coincide | same_point, pxy - pxx, None
 
 
+@order_test
 def vanishes(points, kind, v):
     """v = 0: self-distance zero, and the combiner's zero preservation. A row
     of infinite norm would get an infinite default eps; it does not vanish."""
-    norms = alg.norm_rows(kind, v)
-    return (norms <= alg._default_eps(norms)) & np.isfinite(norms), v, None
+    _, (norms,) = yield None, (v,)
+    yield (norms <= alg._default_eps(norms)) & np.isfinite(norms), v, None
 
 
 _PARTIAL_AXIOMS = (

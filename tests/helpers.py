@@ -1,13 +1,14 @@
 """Sample builders that only the tests use: point lists drawn one at a time,
-and the columns of hand-built item lists for spaces.first_failure; and a
-per-point reference of the solver."""
+and the columns of hand-built item lists for spaces.first_failure; a
+per-axiom reference of the axiom suites; and a per-point reference of the
+solver."""
 
 from dataclasses import replace
 
 import numpy as np
 
 from cstarfix import algebra as alg
-from cstarfix import solver
+from cstarfix import solver, spaces
 from cstarfix.contractions import effective_rate
 from cstarfix.solver import (
     ConvergenceCertificate,
@@ -15,7 +16,7 @@ from cstarfix.solver import (
     SolverError,
     certify_phi_fixed_point,
 )
-from cstarfix.spaces import Domain, Points, point_repr
+from cstarfix.spaces import CHUNK_ROWS, Domain, Points, head_evaluated, point_repr
 
 
 def sample_points(domain: Domain, count: int, seed: int) -> list:
@@ -31,6 +32,54 @@ def stack_items(items) -> tuple:
         else Points(np.array(column, dtype=float))
         for column in zip(*items)
     )
+
+
+# The axiom suites as one scan per axiom, in table order, each over its own
+# columns and with its own chunk loop. The suite scan must give the same
+# checks and raise the same first error.
+
+
+def reference_first_failure(columns, evaluate, test):
+    """One axiom's chunked scan: its first failing item, or None."""
+    count, start, size = len(columns[0].data), 0, 1
+    while start < count:
+        points = tuple(c[start : min(start + size, count)] for c in columns)
+        rows, values, error = head_evaluated(evaluate, points)
+        if rows:
+            points = tuple(c[:rows] for c in points)
+            kind, data = values[0].kind, [v.data for v in values]
+            ok, offending, _ = test(points, kind, *data)
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                return tuple(c.row(bad[0]) for c in points), kind, offending[bad[0]]
+        if error is not None:
+            raise error
+        start += size
+        size = min(2 * size, CHUNK_ROWS)
+    return None
+
+
+def reference_check_axioms(d, axioms, domain, sample_count: int, seed: int) -> list:
+    """The to_dict of each check of an axiom suite, (name, arity, terms,
+    test) as in spaces._METRIC_AXIOMS, or the first error an axiom raises."""
+    pts = domain.sample_many(np.random.default_rng(seed), sample_count)
+    checks = []
+    for axiom, arity, terms, test in axioms:
+        # the points followed by their first arity - 1 again, repeated as often as needed
+        ext = np.resize(pts, (sample_count + arity - 1, *pts.shape[1:]))
+        columns = tuple(Points(ext[j : j + sample_count]) for j in range(arity))
+
+        def evaluate(*item, terms=terms):
+            return tuple(d(item[i], item[j]) for i, j in terms)
+
+        failure = reference_first_failure(columns, evaluate, test)
+        check = spaces.AxiomCheck(axiom, "pass" if failure is None else "fail", sample_count)
+        if failure is not None:
+            item, kind, offending = failure
+            check.witness = {"points": {k: point_repr(v) for k, v in zip("xyz", item)},
+                             "offending": alg.element_to_dict(alg._raw(kind, offending))}
+        checks.append(check.to_dict())
+    return checks
 
 
 # The solver as a per-point loop: phi and the audit and probe distances are

@@ -304,12 +304,38 @@ def test_scalar_fast_path_matches_general_construction(value, other, t):
 @pytest.mark.parametrize("value", [
     np.nan, np.inf, -np.inf, np.float64(np.nan), np.array(np.inf),
     "x", None, [1.0], np.array([1.0]), 1j, np.complex128(1.0), np.complex64(1.0),
+    "1.5", b"1", np.str_("2"), np.array("0.5"),
 ])
 def test_scalar_rejects_non_finite_or_non_real_data(value):
     with pytest.raises(alg.AlgebraError):
         alg.scalar(value)
     with pytest.raises(alg.AlgebraError):
         alg.AlgebraElement("scalar", value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: alg.vector(["1", "2"]),
+    lambda: alg.vector([b"1", b"2"]),
+    lambda: alg.vector(np.array(["1.0"])),
+    lambda: alg.AlgebraElement("vector", [1.0, "2"]),
+    lambda: alg.matrix([["1", "0"], ["0", "1"]]),
+    lambda: alg.element_from_dict({"kind": "scalar", "value": "0.5"}),
+    lambda: alg.element_from_dict({"kind": "vector", "n": 2, "values": ["1", "2"]}),
+    lambda: alg.element_from_dict({"kind": "matrix", "n": 1, "re": [["1"]], "im": [[0.0]]}),
+    lambda: alg.element_from_dict({"kind": "matrix", "n": 1, "re": [[1.0]], "im": [[b"0"]]}),
+])
+def test_constructors_reject_str_and_bytes_data(build):
+    # float() and complex() would parse them as numbers
+    with pytest.raises(alg.AlgebraError):
+        build()
+
+
+def test_constructors_still_take_numbers_of_any_real_or_complex_dtype():
+    assert alg.vector([1, 2]).data.tolist() == [1.0, 2.0]
+    assert alg.matrix([[1, 2j], [-2j, True]]).data.tolist() == [[1, 2j], [-2j, 1]]
+    assert alg.scalar(np.array(2.5)).data == 2.5 and alg.scalar(3).data == 3.0
+    d = alg.element_to_dict(alg.matrix([[1.0, -0.5j], [0.5j, -2.0]]))
+    assert alg.element_to_dict(alg.element_from_dict(d)) == d
 
 
 # Reference copy of the SVD-based matrix order cone the algebra module used

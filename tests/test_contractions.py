@@ -15,6 +15,7 @@ from cstarfix.contractions import (
     FFunction,
     InvalidSpecError,
     OperatorSpec,
+    PhiFunction,
     check_F_axioms,
     effective_rate,
     inequality_sides,
@@ -729,3 +730,27 @@ class TestFamilyTable:
             assert new_calls == len(calls) == 2
             assert _same_bytes(got[0], want[0]), ("lhs", spec, x, y)
             assert _same_bytes(got[1], want[1]), ("rhs", spec, x, y)
+
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_distance_error_wins_over_a_penalty_error_on_the_same_row(self, stacked):
+        # the table runs T, then d on every pair, then phi on every point, then F:
+        # phi(Tx), read by the left side, raises only after d(x, y) of the right side
+        x, y = 0.25, 0.75
+
+        def dist(u, v):
+            if (u, v) == (x, y):
+                raise ArithmeticError("d(x, y)")
+            return alg.scalar(abs(u - v))
+
+        def penalty(u):
+            if u == 0.5 * x:
+                raise KeyError("phi(Tx)")
+            return alg.scalar(0.0)
+
+        args = (ContractionSpec("plain", k=0.5), get_operator("halving"),
+                ValuedDistance("scalar", 1, dist, "metric"), PhiFunction(penalty, "p"),
+                sum_combiner())
+        point, pair = (Points(np.array([x])), Points(np.array([y]))) if stacked else (x, y)
+        with pytest.raises(ArithmeticError, match=re.escape("d(x, y)")):
+            inequality_sides(*args, point, pair)

@@ -1,12 +1,15 @@
 
 import functools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarfix import algebra as alg
 from cstarfix import spaces
-from cstarfix.registry import get_space
+from cstarfix.registry import SPACES, get_space
 from cstarfix.spaces import (
     Box,
     Interval,
@@ -19,7 +22,7 @@ from cstarfix.spaces import (
     induced_metric,
     partial_cauchy_residual,
 )
-from helpers import sample_points, stack_items
+from helpers import reference_check_axioms, sample_points, stack_items
 
 
 def max_partial():
@@ -302,3 +305,122 @@ def test_error_later_in_a_chunk_does_not_hide_an_earlier_failure():
     with pytest.raises(ArithmeticError):
         spaces.axiom_check("nonnegativity", stack_items(items),
                            functools.partial(spaces.each_row, _raises_at(2)), test)
+
+
+# ---------------------------------------------------------------------------
+# the suite scan against one scan per axiom (helpers.reference_check_axioms)
+
+_SUITES = {"metric": (check_metric_axioms, spaces._METRIC_AXIOMS),
+           "partial": (check_partial_axioms, spaces._PARTIAL_AXIOMS)}
+_FLAVOR_SUITES = {"metric": ("metric",), "partial": ("partial",),
+                  "premetric": ("metric", "partial")}
+_SUITE_CASES = [(name, suite) for name in sorted(SPACES)
+                for suite in _FLAVOR_SUITES[get_space(name).distance.flavor]]
+
+
+def _variant(p, how):
+    """p itself, a per-point distance of one's own built on it, or that one
+    lowered by 0.3 units, which fails nonnegativity and more."""
+    if how == "registry":
+        return p
+    low = alg.scale(0.3, alg.unit(p.kind, p.n))
+    if how == "user":
+        return ValuedDistance(p.kind, p.n, lambda x, y: alg.add(p(x, y), p(y, x)), p.flavor,
+                              label="user")
+    return ValuedDistance(p.kind, p.n, lambda x, y: alg.sub(p(x, y), low), p.flavor,
+                          label="lowered")
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(_SUITE_CASES), how=st.sampled_from(["registry", "user", "lowered"]),
+       count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_suite_scan_matches_one_scan_per_axiom(case, how, count, seed):
+    name, suite = case
+    space = get_space(name)
+    d = _variant(space.distance, how)
+    check, axioms = _SUITES[suite]
+    report = check(d, space.domain, count, seed)
+    assert [c.to_dict() for c in report.checks] == reference_check_axioms(
+        d, axioms, space.domain, count, seed)
+
+
+def test_suite_cases_include_failing_suites():
+    space = get_space("sum_premetric")
+    report = check_metric_axioms(space.distance, space.domain, 50, 0)
+    assert [c.axiom for c in report.failures()] == ["self-distance-zero"]
+    lowered = check_partial_axioms(_variant(space.distance, "lowered"), space.domain, 50, 0)
+    assert "nonnegativity" in [c.axiom for c in lowered.failures()]
+
+
+def _faulty(pts, faults: dict, base):
+    """A per-point scalar distance, base(x, y) except at the pairs
+    (pts[i], pts[j]) of faults: a str is raised as an ArithmeticError, a
+    number is the distance there."""
+    def fn(x, y):
+        for (i, j), fault in faults.items():
+            if x == pts[i] and y == pts[j]:
+                if isinstance(fault, str):
+                    raise ArithmeticError(fault)
+                return alg.scalar(fault)
+        return alg.scalar(base(x, y))
+
+    return ValuedDistance("scalar", 1, fn, "premetric", label="faulty")
+
+
+@pytest.mark.parametrize("faults,base,message", [
+    # only the triangle reads d(x, z), at row 5, after self-distance-zero failed at row 0
+    ({(5, 7): "d(x, z) at row 5"}, lambda x, y: abs(x - y) + 0.5, "d(x, z) at row 5"),
+    # the shared d(x, y) at row 3: nonnegativity, the first axiom to read it, raises
+    ({(3, 4): "d(x, y) at row 3"}, lambda x, y: abs(x - y), "d(x, y) at row 3"),
+    # nonnegativity and symmetry fail at row 1, so the triangle raises at row 3
+    ({(1, 2): -1.0, (3, 4): "d(x, y) at row 3"}, lambda x, y: abs(x - y), "d(x, y) at row 3"),
+    # self-distance-zero raises at row 3: the triangle, which would raise at row 20, stops
+    ({(3, 3): "d(x, x) at row 3", (20, 22): "d(x, z) at row 20"}, lambda x, y: abs(x - y),
+     "d(x, x) at row 3"),
+    # symmetry raises at row 20, after the triangle raised at row 3: symmetry's error wins
+    ({(21, 20): "d(y, x) at row 20", (3, 5): "d(x, z) at row 3"}, lambda x, y: abs(x - y),
+     "d(y, x) at row 20"),
+])
+@pytest.mark.parametrize("suite", ["metric", "partial"])
+def test_suite_raises_the_error_of_the_first_axiom_that_raises(faults, base, message, suite):
+    domain, count, seed = Interval(0.0, 1.0), 40, 4
+    pts = domain.sample_many(np.random.default_rng(seed), count)
+    d = _faulty(pts, faults, base)
+    check, axioms = _SUITES[suite]
+    with pytest.raises(ArithmeticError) as want:
+        reference_check_axioms(d, axioms, domain, count, seed)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        check(d, domain, count, seed)
+    if suite == "metric":
+        assert str(want.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.integers(0, 59), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1),
+       suite=st.sampled_from(["metric", "partial"]))
+def test_each_distance_column_is_evaluated_at_most_2f_plus_1_rows(rows, seed, suite):
+    # faults put a first failure of each axiom near the drawn rows
+    domain, count = Interval(0.0, 1.0), 100
+    pts = domain.sample_many(np.random.default_rng(seed), count)
+    a, b, c, e = rows
+    d = _faulty(pts, {(a, a + 1): -1.0, (b, b): 1.0, (c + 1, c): 2.0, (e, e + 1): 5.0},
+                lambda x, y: abs(x - y))
+    check, axioms = _SUITES[suite]
+    index = {float(p): i for i, p in enumerate(pts)}
+    first = {}
+    for (axiom, *_), got in zip(axioms, reference_check_axioms(d, axioms, domain, count, seed)):
+        first[axiom] = index[got["witness"]["points"]["x"]] if got["verdict"] == "fail" else count
+    evaluated = {}
+    over_pairs = spaces.over_pairs
+
+    def recorded(fn, columns, pairs):
+        for pair in pairs:
+            evaluated[pair] = evaluated.get(pair, 0) + len(columns[0])
+        return over_pairs(fn, columns, pairs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spaces, "over_pairs", recorded)
+        check(d, domain, count, seed)
+    for pair, total in evaluated.items():
+        f = max(first[axiom] for axiom, _, terms, _ in axioms if pair in terms)
+        assert total <= 2 * f + 1, (pair, total, first)
