@@ -104,9 +104,9 @@ class AlgebraElement:
         if self.kind == "scalar":
             # every per-point distance value is built here; a float64 is
             # immutable, so it needs neither a copy nor a write flag
-            # one isinstance on the per-point path; float() would parse str and
-            # bytes, and drop a complex's imaginary part
-            if not isinstance(self.data, float) and np.asarray(self.data).dtype.kind not in "biuf":
+            # one isinstance on the per-point path; float() would drop the
+            # imaginary part of complex data and parse str and bytes
+            if not isinstance(self.data, float) and np.asarray(self.data).dtype.kind in "cSU":
                 raise AlgebraError("scalar data must be a real number")
             try:
                 value = np.float64(float(self.data))
@@ -117,7 +117,8 @@ class AlgebraElement:
             object.__setattr__(self, "data", value)
             return
         arr = np.asarray(self.data)
-        if arr.dtype.kind not in "biufc":  # float() and complex() parse str and bytes
+        # float() and complex() parse str and bytes, also inside an object array
+        if arr.dtype.kind in "SUO" and any(isinstance(v, (str, bytes)) for v in arr.flat):
             raise AlgebraError("element data must be numbers")
         if self.kind == "vector":
             arr = np.asarray(arr, dtype=float)
@@ -323,25 +324,20 @@ def positive_rows(
     which the default eps is taken. A row of infinite norm would get an
     infinite default eps, so it is outside the cone."""
     norms = norm_rows(kind, data)
-    return in_cone(kind, data, norms, tol), norms
-
-
-def in_cone(kind: Kind, data: np.ndarray, norms: np.ndarray, tol: OrderTolerance | None = None):
-    """The first array of positive_rows, given the stack's norm_rows."""
     eps = _resolve_eps(norms, tol)
     finite = np.isfinite(norms)
     if kind == "scalar":
-        return (data >= -eps) & finite
+        return (data >= -eps) & finite, norms
     if kind == "vector":
-        return (np.min(data, axis=1) >= -eps) & finite
+        return (np.min(data, axis=1) >= -eps) & finite, norms
     if not finite.all():
         # the SVD and eigvalsh need not converge on such a row
         ok = np.zeros(len(data), dtype=bool)
-        ok[finite] = in_cone(kind, data[finite], norms[finite], tol)
-        return ok
+        ok[finite] = positive_rows(kind, data[finite], tol)[0]
+        return ok, norms
     asym, hermitian_part = _hermitian_split(data)
     lowest = np.linalg.eigvalsh(hermitian_part)[:, 0]
-    return (asym <= eps) & (lowest >= -eps)
+    return (asym <= eps) & (lowest >= -eps), norms
 
 
 def max_asymmetry(a: AlgebraElement) -> float:

@@ -190,11 +190,11 @@ def _three_weights(s: ContractionSpec) -> None:
 class FamilyRule(NamedTuple):
     check: Callable[[ContractionSpec], None]  # raises InvalidSpecError on bad constants
     rate: Callable[[ContractionSpec], float]  # per-step geometric factor of an orbit
-    # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed, read at names of points
-    rhs: Callable[..., np.ndarray]
+    # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed, the points named by indices
+    rhs: Callable[..., np.ndarray | AlgebraElement]
     single_point: bool = False  # sampled at points x, not pairs (x, y)
     stratified: bool = False  # half of the samples put y near T(x)
-    partial_rhs: Optional[Callable[..., np.ndarray]] = None  # rhs in partial mode
+    partial_rhs: Optional[Callable[..., AlgebraElement]] = None  # rhs in partial mode
 
 
 # Rates: s_n is the step value at (x_n, x_{n+1}) on the orbit x_{n+1} = T x_n,
@@ -362,13 +362,13 @@ class VerificationResult:
         return d
 
 
-def family_sides(spec: ContractionSpec, T: OperatorSpec, table, x, y,
+def family_sides(spec: ContractionSpec, T: OperatorSpec, evaluate, x, y,
                  partial: bool = False) -> tuple[AlgebraElement, AlgebraElement]:
     """Both sides of the family inequality, t(Tx, Ty) and the row's right
-    side. T runs on x and y stacked; a single-point family is evaluated at
-    the orbit pair (x, y) = (Tx, x), so T runs on x, then on Tx. The row
-    combines value arrays of table(points, pairs, relaxed), the mode's kind,
-    t at pairs and r at relaxed, (u, v) indices into the point arrays."""
+    side, as evaluate(points, sides) gives sides(t, r): t(u, v) and r(u, v)
+    are the term and relaxed term at indices into points, Points of x, y,
+    Tx and Ty. T runs on x and y stacked; a single-point family is evaluated
+    at the orbit pair (x, y) = (Tx, x), so T runs on x, then on Tx."""
     rule = FAMILIES[spec.family]
     rhs = rule.partial_rhs if partial and rule.partial_rhs else rule.rhs
     single = not isinstance(x, Points)
@@ -376,19 +376,12 @@ def family_sides(spec: ContractionSpec, T: OperatorSpec, table, x, y,
         x, y = (None if p is None else Points(np.array([p])) for p in (x, y))
     if rule.single_point:
         Tx = T(x)
-        points, names = (Tx.data, x.data, T(Tx).data), (0, 1, 2, 0)
+        points, names = (Tx, x, T(Tx)), (0, 1, 2, 0)
     else:
-        images = T(Points(np.concatenate((x.data, y.data)))).data
-        points, names = (x.data, y.data, images[: len(x)], images[len(x) :]), (0, 1, 2, 3)
-    # running the row on the names of x, y, Tx and Ty finds the pairs it reads
-    pairs, relaxed = {names[2:]: None}, {}
-    rhs(spec, lambda *pair: pairs.setdefault(pair) or 0.0,
-        lambda *pair: relaxed.setdefault(pair) or 0.0, *names)
-    kind, t, r = table(points, list(pairs), list(relaxed))
-    lhs, right = t[names[2:]], rhs(spec, lambda *pair: t[pair], lambda *pair: r[pair], *names)
-    if single:
-        lhs, right = lhs[0], right[0]
-    return alg._raw(kind, lhs), alg._raw(kind, right)
+        images, n = T(Points(np.concatenate((x.data, y.data)))).data, len(x.data)
+        points, names = (x, y, Points(images[:n]), Points(images[n:])), (0, 1, 2, 3)
+    lhs, right = evaluate(points, lambda t, r: (t(*names[2:]), rhs(spec, t, r, *names)))
+    return (lhs[0], right[0]) if single else (lhs, right)
 
 
 def inequality_sides(
@@ -404,7 +397,11 @@ def inequality_sides(
     stacks over Points; term is F(d(u, v), phi(u), phi(v)) and relaxed
     subtracts F(theta, phi(u), phi(v)), each callable run once."""
 
-    def table(points, pairs, relaxed):
+    def table(points, sides):
+        # a run on recorders finds the pairs the sides read, in the order they read them
+        pairs, relaxed = {}, {}
+        sides(lambda *pair: pairs.setdefault(pair) or 0.0, lambda *pair: relaxed.setdefault(pair) or 0.0)
+        points, pairs, relaxed = [c.data for c in points], list(pairs), list(relaxed)
         rows, need = len(points[0]), pairs + relaxed
         dist = over_pairs(d, points, need)
         read = list(dict.fromkeys(c for pair in need for c in pair))
@@ -417,7 +414,8 @@ def inequality_sides(
         if relaxed:  # the relaxed pairs are the last rows of pu and pv
             zero = F(alg.zero(d.kind, d.n), pu[len(pairs) * rows :], pv[len(pairs) * rows :])
             r = {pair: t[pair] - z for pair, z in split_rows(zero.data, relaxed, rows).items()}
-        return terms.kind, t, r
+        both = sides(lambda *pair: t[pair], lambda *pair: r[pair])
+        return tuple(alg._raw(terms.kind, side) for side in both)
 
     return family_sides(spec, T, table, x, y)
 

@@ -27,7 +27,7 @@ from .contractions import (
     uniform_samples,
 )
 from .solver import ConvergenceCertificate, SolveConfig, picard_solve
-from .spaces import Domain, ValuedDistance, induced_metric, over_pairs, rowwise, split_rows
+from .spaces import Domain, ValuedDistance, induced_metric, rowwise
 
 __all__ = [
     "PartialProblem",
@@ -65,15 +65,16 @@ def corollary_sides(
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Both sides of the corollary inequality, stated directly in p, at a
     sampled point or pair, or as stacks over Points: term is p itself and
-    relaxed(u, v) = p(u, v) - (p(u, u) + p(v, v)) / 2, p run once."""
+    relaxed(u, v) = p(u, v) - (p(u, u) + p(v, v)) / 2."""
+    p = problem.p
 
-    def table(points, pairs, relaxed):
-        need = list(dict.fromkeys(pairs + relaxed + [(c, c) for pair in relaxed for c in pair]))
-        values = over_pairs(problem.p, points, need)
-        t = split_rows(values.data, need, len(points[0]))
-        return values.kind, t, {(u, v): t[u, v] - 0.5 * (t[u, u] + t[v, v]) for u, v in relaxed}
+    def evaluate(points, sides):
+        def term(u, v):
+            return p(points[u], points[v])
 
-    return family_sides(problem.spec, problem.T, table, x, y, partial=True)
+        return sides(term, lambda u, v: term(u, v) - 0.5 * (term(u, u) + term(v, v)))
+
+    return family_sides(problem.spec, problem.T, evaluate, x, y, partial=True)
 
 
 def verify_corollary_hypothesis(

@@ -296,14 +296,12 @@ def split_rows(data: np.ndarray, keys: list, rows: int) -> dict:
     return dict(zip(keys, data.reshape(len(keys), rows, *data.shape[1:])))
 
 
-def _value_columns(values: tuple) -> tuple[alg.Kind, list]:
-    """Kind and data arrays of an item's value stacks, which must agree in
-    kind, size and row count."""
-    for v in values:
+def _value_columns(values: tuple) -> tuple:
+    """The kind, then the data arrays, of an item's value stacks, which must
+    agree in kind and size."""
+    for v in values[1:]:
         alg._check_compatible(values[0], v)
-        if len(v.data) != len(values[0].data):
-            raise ValueError("value stacks differ in row count")
-    return values[0].kind, [v.data for v in values]
+    return (values[0].kind, *[v.data for v in values])
 
 
 def head_evaluated(fn: Callable, columns: tuple):
@@ -328,47 +326,44 @@ def head_evaluated(fn: Callable, columns: tuple):
 
 
 def first_failure(columns: tuple, evaluate: Callable, test: Callable):
-    """first_failures of the one test over all columns, evaluate(*columns)
-    giving its value stacks."""
+    """first_failures of the one test, evaluate(*columns) giving its values."""
     return first_failures(columns, lambda live, *c: (evaluate(*c),), [(len(columns), test)])[0]
 
 
 def first_failures(columns: tuple, evaluate: Callable, tests: list) -> list:
-    """Per (arity, test) in tests, (best, failure): its first failing item,
-    as (index, item, kind, offending row, the item's value rows), or None,
-    and the largest score before it. A test's items are the rows of its
-    first arity columns (Points or stacked elements, all of one length),
-    scanned in chunks of 1, 2, 4, ... rows up to CHUNK_ROWS: a failure at
-    item i evaluates at most 2 i + 1 items. evaluate(live, *columns), live
-    the indices of the tests still scanning, gives each one's stacks of its
-    items' values, one row per item; test(points, kind, *values) gives
-    (ok, offending, score or None) per row (see order_test). When evaluate
-    raises on a chunk, head_evaluated finds each live test's first raising
-    item; the error, of any type, ends the tests after it, and is raised if
-    no earlier item of that test fails and no earlier test raises."""
+    """Per (arity, test), (best, failure): the test's first failing item, as
+    (index, item, kind, offending row, the item's value rows), or None, and
+    the largest score before it. Its items are the rows of the first arity
+    columns (Points or stacked elements of one length), scanned in chunks of
+    1, 2, 4, ... rows up to CHUNK_ROWS: a failure at item i evaluates at most
+    2 i + 1 items. evaluate(live, *columns) gives the value stacks of the
+    tests still scanning, live their indices; each test(points, kind,
+    *values) gives (ok, offending, score or None) per row (see _settle). If
+    evaluate raises, head_evaluated finds each live test's first raising
+    item; the error, of any type, ends the tests after it and is raised if
+    its test fails no earlier and no earlier test raises."""
     count, start, size, error = _count(columns), 0, 1, None
     best, found, live = [0.0] * len(tests), [None] * len(tests), list(range(len(tests)))
     while start < count and live:
         chunk = _slice(columns, start, min(start + size, count))
-        try:  # one evaluation for all live tests; if it raises, each finds its own row
-            heads = [(_count(chunk), values, None) for values in evaluate(live, *chunk)]
+        try:  # one evaluation for all live tests
+            heads = [(chunk, values, None) for values in evaluate(live, *chunk)]
         except Exception:
-            heads = [head_evaluated(lambda *c, a=a: evaluate([a], *c)[0], chunk) for a in live]
-        held = [(a, rows, *_value_columns(v)) for a, (rows, v, _) in zip(live, heads) if rows]
-        results = _settle([(tests[a][1], (_slice(chunk[: tests[a][0]], 0, rows), kind, *stacks))
-                           for a, rows, kind, stacks in held])
-        outcome = {a: (kind, stacks, *got) for (a, _, kind, stacks), got in zip(held, results)}
-        still = []
-        for a, (rows, _, raised) in zip(live, heads):
-            if rows:
-                kind, stacks, ok, offending, score = outcome[a]
-                bad = np.flatnonzero(~ok)
-                stop = int(bad[0]) if bad.size else rows
+            heads = [(_slice(chunk, 0, rows), values, raised) for rows, values, raised in
+                     (head_evaluated(lambda *c, a=a: evaluate([a], *c)[0], chunk) for a in live)]
+        calls = [(tests[a][1], (points[: tests[a][0]], *_value_columns(values)))
+                 for a, (points, values, _) in zip(live, heads) if values is not None]
+        settled, still = iter(zip(calls, _settle(calls))), []
+        for a, (_, values, raised) in zip(live, heads):
+            if values is not None:
+                (_, (points, kind, *stacks)), (ok, offending, score) = next(settled)
+                stop = int(ok.argmin())  # the first failing row, if a row fails
+                stop = len(ok) if ok[stop] else stop
                 if score is not None and stop:
                     best[a] = max(best[a], float(score[:stop].max()))
-                if bad.size:
-                    item = tuple(c.row(stop) for c in chunk[: tests[a][0]])
-                    found[a] = start + stop, item, kind, offending[stop], [s[stop] for s in stacks]
+                if stop < len(ok):
+                    found[a] = (start + stop, tuple(c.row(stop) for c in points), kind,
+                                offending[stop], [v[stop] for v in stacks])
                     continue
             if raised is not None:
                 error = raised
@@ -381,42 +376,45 @@ def first_failures(columns: tuple, evaluate: Callable, tests: list) -> list:
 
 
 def order_test(steps: Callable) -> Callable:
-    """A scan test written as a generator steps(points, kind, *values). It
-    yields (cone, norms): a stack whose rows must be positive, or None, and
-    stacks whose row norms it reads. Sent (positive_rows of cone, or None,
-    and the norm_rows of each of norms), it yields (ok, offending, score)."""
+    """A scan test whose order work _settle batches: steps(points, kind,
+    *values) gives (cone, norms, verdict), cone a stack whose rows must be
+    positive or None, norms the stacks whose row norms the test reads, and
+    verdict(positive_rows of cone, norm_rows of norms) its (ok, offending, score)."""
 
-    def test(points, kind, *values):
-        run = steps(points, kind, *values)
-        cone, norms = next(run)
-        return run.send((cone if cone is None else alg.positive_rows(kind, cone),
-                         tuple([alg.norm_rows(kind, a) for a in norms])))
+    def test(*args):
+        return _settle([(test, args)])[0]
 
     test.steps = steps
     return test
 
 
 def _settle(calls: list) -> list:
-    """The result of each (test, (points, kind, *values)): every array that
-    order tests ask for, cones included, is normed by one norm_rows call,
-    once even if asked for twice (as d(x, y) is by several axioms), and all
-    cones are tested by one in_cone call; one test, or a plain one, is called."""
-    if len(calls) < 2 or not all(hasattr(test, "steps") for test, _ in calls):
+    """The result of each (test, (points, kind, *values)), all of one kind:
+    one positive_rows call tests the cones of the order tests and one
+    norm_rows call norms every stack they read. Tests that are not order
+    tests, as all tests of a call are if its first is, are called."""
+    if calls and not hasattr(calls[0][0], "steps"):
         return [test(*args) for test, args in calls]
-    kind, runs = calls[0][1][1], [test.steps(*args) for test, args in calls]
-    asks = [next(run) for run in runs]
-    cones = [cone for cone, _ in asks if cone is not None]
-    arrays = list({id(a): a for a in cones + [a for _, norms in asks for a in norms]}.values())
-    norm = dict(zip(map(id, arrays), _split(alg.norm_rows(kind, np.concatenate(arrays)), arrays)))
+    asks = [test.steps(*args) for test, args in calls]
+    cones = [cone for cone, _, _ in asks if cone is not None]
+    norms = [a for _, stacks, _ in asks for a in stacks]
     if cones:
-        ok = alg.in_cone(kind, np.concatenate(cones), np.concatenate([norm[id(c)] for c in cones]))
-        held = zip(_split(ok, cones), [norm[id(c)] for c in cones])
-    return [run.send((cone if cone is None else next(held), tuple(norm[id(a)] for a in norms)))
-            for run, (cone, norms) in zip(runs, asks)]
+        ok, cone_norms = alg.positive_rows(calls[0][1][1], _joined(cones))
+        held = zip(_split(ok, cones), _split(cone_norms, cones))
+    if norms:
+        normed = iter(_split(alg.norm_rows(calls[0][1][1], _joined(norms)), norms))
+    return [verdict(cone if cone is None else next(held), stacks and [next(normed) for _ in stacks])
+            for cone, stacks, verdict in asks]
+
+
+def _joined(arrays: list) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _split(rows: np.ndarray, arrays: list) -> list:
     """rows, one per row of arrays in turn, split by array."""
+    if len(arrays) == 1:
+        return [rows]
     ends = itertools.accumulate(len(a) for a in arrays)
     return [rows[end - len(a) : end] for a, end in zip(arrays, ends)]
 
@@ -441,9 +439,8 @@ def _check_axioms(
     d: ValuedDistance, axioms: tuple, domain: Domain, sample_count: int, seed: int
 ) -> list:
     """Each (name, arity, terms, test) in one scan over cyclically consecutive
-    sampled points, pairs or triples; terms are the (i, j) of the distances
-    d(item[i], item[j]) that test is given. A chunk calls d once, on the
-    distinct pairs of the axioms still scanning."""
+    sampled points, pairs or triples, test given d(item[i], item[j]) of each
+    (i, j) in terms; a chunk calls d once, on the distinct pairs still read."""
     pts = domain.sample_many(np.random.default_rng(seed), sample_count)
     # the points followed by their first two again, repeated as often as needed
     ext = np.resize(pts, (sample_count + 2, *pts.shape[1:]))
@@ -463,21 +460,18 @@ def _check_axioms(
 def below(points, kind, low, high):
     """low <= high in the order cone, scored by the norm of high - low."""
     diff = high - low
-    (ok, norms), _ = yield diff, ()
-    yield ok, diff, norms
+    return diff, (), lambda positive, _: (positive[0], diff, positive[1])
 
 
 @order_test
 def _nonnegative(points, kind, dxy):
-    (ok, _), _ = yield dxy, ()
-    yield ok, dxy, None
+    return dxy, (), lambda positive, _: (positive[0], dxy, None)
 
 
 @order_test
 def _symmetric(points, kind, dxy, dyx):
     diff = dxy - dyx
-    _, (off, scale) = yield None, (diff, dxy)
-    yield off <= alg._default_eps(scale), diff, None
+    return None, (diff, dxy), lambda _, norms: (norms[0] <= alg._default_eps(norms[1]), diff, None)
 
 
 _triangle = order_test(lambda p, kind, dxz, dzy, dxy: below.steps(p, kind, dxy, dxz + dzy))
@@ -489,20 +483,23 @@ _partial_triangle = order_test(
 @order_test
 def _indistinguishable(points, kind, pxx, pyy, pxy):
     # converse direction: p(x,x) = p(y,y) = p(x,y) forces x = y
-    _, (scale, off_x, off_y) = yield None, (pxy, pxx - pxy, pyy - pxy)
-    eps = alg._default_eps(scale)
-    coincide = (off_x <= eps) & (off_y <= eps)
-    xs, ys = (p.data.reshape(len(p), -1) for p in points)
-    same_point = np.max(np.abs(xs - ys), axis=1) <= 1e-9
-    yield ~coincide | same_point, pxy - pxx, None
+    def verdict(_, norms):
+        scale, off_x, off_y = norms
+        eps = alg._default_eps(scale)
+        coincide = (off_x <= eps) & (off_y <= eps)
+        xs, ys = (p.data.reshape(len(p), -1) for p in points)
+        same_point = np.max(np.abs(xs - ys), axis=1) <= 1e-9
+        return ~coincide | same_point, pxy - pxx, None
+
+    return None, (pxy, pxx - pxy, pyy - pxy), verdict
 
 
 @order_test
 def vanishes(points, kind, v):
     """v = 0: self-distance zero, and the combiner's zero preservation. A row
     of infinite norm would get an infinite default eps; it does not vanish."""
-    _, (norms,) = yield None, (v,)
-    yield (norms <= alg._default_eps(norms)) & np.isfinite(norms), v, None
+    return None, (v,), lambda _, norms: (
+        (norms[0] <= alg._default_eps(norms[0])) & np.isfinite(norms[0]), v, None)
 
 
 _PARTIAL_AXIOMS = (

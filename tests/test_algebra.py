@@ -1,3 +1,5 @@
+import fractions
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -318,6 +320,7 @@ def test_scalar_rejects_non_finite_or_non_real_data(value):
     lambda: alg.vector([b"1", b"2"]),
     lambda: alg.vector(np.array(["1.0"])),
     lambda: alg.AlgebraElement("vector", [1.0, "2"]),
+    lambda: alg.vector([10**30, "2"]),
     lambda: alg.matrix([["1", "0"], ["0", "1"]]),
     lambda: alg.element_from_dict({"kind": "scalar", "value": "0.5"}),
     lambda: alg.element_from_dict({"kind": "vector", "n": 2, "values": ["1", "2"]}),
@@ -334,6 +337,11 @@ def test_constructors_still_take_numbers_of_any_real_or_complex_dtype():
     assert alg.vector([1, 2]).data.tolist() == [1.0, 2.0]
     assert alg.matrix([[1, 2j], [-2j, True]]).data.tolist() == [[1, 2j], [-2j, 1]]
     assert alg.scalar(np.array(2.5)).data == 2.5 and alg.scalar(3).data == 3.0
+    # Python ints too large for int64, which numpy holds as objects
+    assert alg.scalar(10**30).data == 1e30 and alg.scalar(-2**63 - 1).data == -2.0**63
+    assert alg.vector([10**30, 1]).data.tolist() == [1e30, 1.0]
+    assert alg.matrix([[10**30]]).data.tolist() == [[1e30]]
+    assert alg.scalar(fractions.Fraction(1, 4)).data == 0.25
     d = alg.element_to_dict(alg.matrix([[1.0, -0.5j], [0.5j, -2.0]]))
     assert alg.element_to_dict(alg.element_from_dict(d)) == d
 
