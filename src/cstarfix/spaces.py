@@ -391,8 +391,8 @@ def order_test(steps: Callable) -> Callable:
 def _settle(calls: list) -> list:
     """The result of each (test, (points, kind, *values)), all of one kind:
     one positive_rows call tests the cones of the order tests and one
-    norm_rows call norms every stack they read. Tests that are not order
-    tests, as all tests of a call are if its first is, are called."""
+    norm_rows call norms every stack they read. The tests of one call are
+    all order tests, or all plain tests, which are called as they are."""
     if calls and not hasattr(calls[0][0], "steps"):
         return [test(*args) for test, args in calls]
     asks = [test.steps(*args) for test, args in calls]
