@@ -54,14 +54,10 @@ from .spaces import (
     AxiomReport,
     Box,
     Interval,
-    SequenceProbe,
     ValuedDistance,
-    cauchy_equivalence_probe,
     check_metric_axioms,
     check_partial_axioms,
-    converges_to,
     induced_metric,
-    partial_cauchy_residual,
 )
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ only; stacks come from values, stack and freshly computed arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -207,6 +208,7 @@ def matrix(values) -> AlgebraElement:
     return AlgebraElement("matrix", values)
 
 
+@functools.cache  # elements are immutable, so one zero per (kind, n) serves every caller
 def zero(kind: Kind, n: int = 1) -> AlgebraElement:
     if kind == "scalar":
         return scalar(0.0)

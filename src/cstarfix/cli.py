@@ -41,9 +41,12 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def _dump(payload: dict, fmt: str, out: str | None) -> None:

@@ -30,6 +30,7 @@ from .spaces import (
     below,
     first_failure,
     head_evaluated,
+    order_test,
     over_pairs,
     over_rows,
     point_repr,
@@ -292,9 +293,10 @@ def check_F_axioms(
     a, b, c = (alg._raw(kind, np.concatenate([head, fresh[i::3]]))
                for i, head in enumerate((scaled, zeros, zeros)))
 
+    @order_test
     def dominated(points, kind, a, b, out):
-        ok, _ = alg.positive_rows(kind, np.concatenate([out - a, out - b]))
-        return ok[: len(a)] & ok[len(a) :], out, None
+        return np.concatenate([out - a, out - b]), (), lambda positive, _: (
+            positive[0][: len(a)] & positive[0][len(a) :], out, None)
 
     def inputs(triple):
         return {"points": {}, "inputs": [alg.element_to_dict(v) for v in triple]}

@@ -184,7 +184,8 @@ COMBINERS = {
 
 
 def _lookup(table: dict, name: str, what: str):
-    if name not in table:
+    # a JSON list or object is unhashable: treat it as unknown, not as a TypeError
+    if not isinstance(name, str) or name not in table:
         known = ", ".join(sorted(table))
         raise UnknownNameError(f"unknown {what} {name!r}; known: {known}")
     return table[name]()

@@ -23,15 +23,11 @@ __all__ = [
     "Box",
     "Domain",
     "ValuedDistance",
-    "SequenceProbe",
     "AxiomCheck",
     "AxiomReport",
     "check_partial_axioms",
     "check_metric_axioms",
     "induced_metric",
-    "partial_cauchy_residual",
-    "converges_to",
-    "cauchy_equivalence_probe",
 ]
 
 
@@ -218,14 +214,6 @@ class ValuedDistance:
         )
 
 
-@dataclass(frozen=True)
-class SequenceProbe:
-    """A candidate sequence, optionally with a claimed limit point."""
-
-    generator: Callable[[int], object]
-    limit: Optional[object] = None
-
-
 def point_repr(x):
     """A point as JSON-ready floats: a list for box points, a float otherwise."""
     if isinstance(x, np.ndarray):
@@ -337,8 +325,8 @@ def first_failures(columns: tuple, evaluate: Callable, tests: list) -> list:
     columns (Points or stacked elements of one length), scanned in chunks of
     1, 2, 4, ... rows up to CHUNK_ROWS: a failure at item i evaluates at most
     2 i + 1 items. evaluate(live, *columns) gives the value stacks of the
-    tests still scanning, live their indices; each test(points, kind,
-    *values) gives (ok, offending, score or None) per row (see _settle). If
+    tests still scanning, live their indices; each test, an order_test of
+    (points, kind, *values), gives (ok, offending, score or None) per row. If
     evaluate raises, head_evaluated finds each live test's first raising
     item; the error, of any type, ends the tests after it and is raised if
     its test fails no earlier and no earlier test raises."""
@@ -389,12 +377,9 @@ def order_test(steps: Callable) -> Callable:
 
 
 def _settle(calls: list) -> list:
-    """The result of each (test, (points, kind, *values)), all of one kind:
-    one positive_rows call tests the cones of the order tests and one
-    norm_rows call norms every stack they read. The tests of one call are
-    all order tests, or all plain tests, which are called as they are."""
-    if calls and not hasattr(calls[0][0], "steps"):
-        return [test(*args) for test, args in calls]
+    """The result of each order test's (test, (points, kind, *values)), all
+    of one kind: one positive_rows call tests their cones and one norm_rows
+    call norms every stack they read."""
     asks = [test.steps(*args) for test, args in calls]
     cones = [cone for cone, _, _ in asks if cone is not None]
     norms = [a for _, stacks, _ in asks for a in stacks]
@@ -563,84 +548,3 @@ def induced_metric(p: ValuedDistance) -> ValuedDistance:
     if getattr(p.fn, "rowwise", False):
         fn = rowwise(fn)
     return ValuedDistance(p.kind, p.n, fn, "metric", label=f"induced({p.label})")
-
-
-def partial_cauchy_residual(
-    probe: SequenceProbe, p: ValuedDistance, n: int, m: int
-) -> AlgebraElement:
-    """r r* where r = p(x_n,x_m) - (p(x_n,x_n) + p(x_m,x_m)) / 2."""
-    xn, xm = probe.generator(n), probe.generator(m)
-    r = alg.sub(p(xn, xm), alg.scale(0.5, alg.add(p(xn, xn), p(xm, xm))))
-    return alg.mul(r, alg.involution(r))
-
-
-def _stabilization_index(values: list, tol: float, run_length: int = 10) -> Optional[int]:
-    """First index from which run_length consecutive values stay below tol."""
-    streak = 0
-    for i, v in enumerate(values):
-        streak = streak + 1 if v <= tol else 0
-        if streak >= run_length:
-            return i - run_length + 1
-    return None
-
-
-def converges_to(
-    probe: SequenceProbe,
-    p: ValuedDistance,
-    tol: float = 1e-8,
-    horizon: int = 200,
-) -> Literal["yes", "no", "inconclusive"]:
-    """Does p(x_n, x) - p(x,x) vanish along the probe?
-
-    Tri-state by design: "inconclusive" when the horizon is exhausted before
-    the residual stabilizes, rather than a false negative.
-    """
-    if probe.limit is None:
-        raise ValueError("probe has no limit point to converge to")
-    x = probe.limit
-    residuals = [
-        alg.norm(alg.sub(p(probe.generator(n), x), p(x, x))) for n in range(horizon)
-    ]
-    n0 = _stabilization_index(residuals, tol)
-    if n0 is not None:
-        return "yes" if all(v <= tol for v in residuals[n0:]) else "no"
-    # residual settled at a positive level: definitely not converging
-    tail = residuals[-10:]
-    if max(tail) - min(tail) <= tol and min(tail) > tol:
-        return "no"
-    return "inconclusive"
-
-
-def cauchy_equivalence_probe(
-    probe: SequenceProbe,
-    p: ValuedDistance,
-    tol: float = 1e-8,
-    horizon: int = 60,
-) -> dict:
-    """Compare the partial-Cauchy residual criterion with plain Cauchy under
-    the induced metric along the same probe; report whether they agree."""
-    if p.flavor != "partial":
-        raise ValueError("probe requires a partial-metric flavor")
-    ps = induced_metric(p)
-    window = 10
-
-    def tail_verdict(crit) -> Literal["yes", "no"]:
-        # Cauchy detected iff every pair in the tail window meets the criterion.
-        tail = range(max(0, horizon - window), horizon)
-        ok = all(crit(n, m) <= tol for n in tail for m in tail if n < m)
-        return "yes" if ok else "no"
-
-    partial_verdict = tail_verdict(
-        lambda n, m: alg.norm(partial_cauchy_residual(probe, p, n, m))
-    )
-    # residual criterion compares r r* against eps^2, so square the threshold
-    metric_verdict = tail_verdict(
-        lambda n, m: alg.norm(ps(probe.generator(n), probe.generator(m))) ** 2
-    )
-    return {
-        "partial_cauchy": partial_verdict,
-        "induced_metric_cauchy": metric_verdict,
-        "agree": partial_verdict == metric_verdict,
-        "horizon": horizon,
-        "tol": tol,
-    }

@@ -298,6 +298,24 @@ class TestFlagValidation:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["axioms", "verify", "solve"])
+    @pytest.mark.parametrize("text", ['"space"', "3", "[1, 2]"], ids=["string", "number", "list"])
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys, command, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: config {path} must be a JSON object\n"
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("key", ["space", "operator", "phi", "combiner"])
+    @pytest.mark.parametrize("name", [["max_unit_interval"], {"a": 1}], ids=["list", "object"])
+    def test_registry_name_that_is_not_a_string_exits_two(self, tmp_path, capsys, command, key,
+                                                         name):
+        cfg = write(tmp_path, "c.json", {**_VERIFY, "x0": 0.5, key: name})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"unknown {key} {name!r};" in err
+
     def test_bad_samples_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["demo", "ex2.4", "--samples", "0"])

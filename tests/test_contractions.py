@@ -33,6 +33,7 @@ from cstarfix.spaces import (
     ValuedDistance,
     axiom_check,
     each_row,
+    order_test,
     point_repr,
     rowwise,
 )
@@ -386,7 +387,7 @@ class TestVerifyContraction:
         image_check = functools.partial(
             axiom_check, "image-nonnegative", (Points(xs),),
             lambda x: (alg.values("scalar", T(x).data),),
-            lambda points, kind, v: (v >= 0, v, None),
+            order_test(lambda points, kind, v: (None, (), lambda *_: (v >= 0, v, None))),
         )
         if not fails:
             with pytest.raises(Blowup):

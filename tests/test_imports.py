@@ -67,3 +67,11 @@ def test_every_package_module_attribute_resolves(path):
         and not hasattr(importlib.import_module(modules[node.value.id]), node.attr)
     )
     assert not missing, f"{path.name} refers to names its modules lack: {missing}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_all_entry_resolves(path):
+    # bench/tracing.py wraps each entry through getattr, so a stale one breaks every traced run
+    module = importlib.import_module(f"cstarfix.{path.stem}")
+    stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not stale, f"{path.name} lists names in __all__ that it lacks: {stale}"

@@ -13,14 +13,10 @@ from cstarfix.registry import SPACES, get_space
 from cstarfix.spaces import (
     Box,
     Interval,
-    SequenceProbe,
     ValuedDistance,
-    cauchy_equivalence_probe,
     check_metric_axioms,
     check_partial_axioms,
-    converges_to,
     induced_metric,
-    partial_cauchy_residual,
 )
 from helpers import reference_check_axioms, sample_points, stack_items
 
@@ -139,73 +135,7 @@ class TestInducedMetric:
             assert alg.norm(alg.sub(ps(s, t), ps(t, s))) == 0.0
 
 
-class TestSequenceProbes:
-    def test_constant_sequence_residual_is_zero(self):
-        p = max_partial().distance
-        probe = SequenceProbe(lambda n: 0.5)
-        assert alg.norm(partial_cauchy_residual(probe, p, 3, 9)) == 0.0
-
-    def test_geometric_residual_value(self):
-        # r = max(2^-3, 2^-5) - (2^-3 + 2^-5)/2 = (2^-3 - 2^-5)/2, residual r^2
-        p = max_partial().distance
-        probe = SequenceProbe(lambda n: 2.0 ** (-n))
-        r = 0.5 * (2.0**-3 - 2.0**-5)
-        assert float(partial_cauchy_residual(probe, p, 3, 5).data) == pytest.approx(r * r)
-
-    def test_alternating_residual_bounded_away(self):
-        # r = 1 - (0 + 1)/2 = 1/2 at (even, odd), residual 1/4
-        p = max_partial().distance
-        probe = SequenceProbe(lambda n: float(n % 2))
-        assert float(partial_cauchy_residual(probe, p, 2, 3).data) == pytest.approx(0.25)
-
-    def test_converges_to_limit(self):
-        p = max_partial().distance
-        probe = SequenceProbe(lambda n: 2.0 ** (-n), limit=0.0)
-        assert converges_to(probe, p, tol=1e-8, horizon=100) == "yes"
-
-    def test_constant_converges(self):
-        p = max_partial().distance
-        probe = SequenceProbe(lambda n: 0.7, limit=0.7)
-        assert converges_to(probe, p, tol=1e-12, horizon=50) == "yes"
-
-    def test_wrong_limit_detected(self):
-        # sequence stuck at 0.9 against claimed limit 0.5: residual stays 0.4
-        p = max_partial().distance
-        probe = SequenceProbe(lambda n: 0.9, limit=0.5)
-        assert converges_to(probe, p, tol=1e-8, horizon=50) == "no"
-
-    def test_slow_sequence_is_inconclusive(self):
-        p = max_partial().distance
-        probe = SequenceProbe(lambda n: 1.0 / (n + 2), limit=0.0)
-        assert converges_to(probe, p, tol=1e-8, horizon=30) == "inconclusive"
-
-    def test_missing_limit_rejected(self):
-        p = max_partial().distance
-        with pytest.raises(ValueError):
-            converges_to(SequenceProbe(lambda n: 0.0), p)
-
-    def test_cauchy_equivalence_geometric(self):
-        p = max_partial().distance
-        probe = SequenceProbe(lambda n: 2.0 ** (-n))
-        report = cauchy_equivalence_probe(probe, p, tol=1e-8, horizon=60)
-        assert report["partial_cauchy"] == "yes"
-        assert report["induced_metric_cauchy"] == "yes"
-        assert report["agree"]
-
-    def test_cauchy_equivalence_alternating(self):
-        p = max_partial().distance
-        probe = SequenceProbe(lambda n: float(n % 2))
-        report = cauchy_equivalence_probe(probe, p, tol=1e-8, horizon=60)
-        assert report["partial_cauchy"] == "no"
-        assert report["induced_metric_cauchy"] == "no"
-        assert report["agree"]
-
-    def test_cauchy_equivalence_constant(self):
-        p = max_partial().distance
-        probe = SequenceProbe(lambda n: 0.25)
-        report = cauchy_equivalence_probe(probe, p, tol=1e-10, horizon=40)
-        assert report["partial_cauchy"] == "yes" and report["agree"]
-
+class TestSequenceLimits:
     def test_joint_limit_property(self):
         # for x_n -> x and y_n -> y, p(x_n,y_n) - p(x_n,x_n) approaches
         # p(x,y) - p(x,x)
