@@ -1,8 +1,9 @@
 """Contraction families and their sampled verification.
 
-Each of the six families is one row of FAMILIES: its constant check, its
-orbit rate, and its right side, written once over the term and relaxed
-callables of a mode (the metric mode here, the partial mode in partial.py).
+Each of the six families is one row of FAMILIES: its constant check, the
+constants it reads, its orbit pairs (whence its rate) and its right side,
+written once over the term and relaxed callables of a mode (the metric mode
+here, the partial mode in partial.py).
 A verification run either certifies the family inequality over a seeded
 sample or returns the first counterexample; runs are deterministic given
 (seed, sample_count).
@@ -133,30 +134,24 @@ class ContractionSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InvalidSpecError(f"{self.family} requires a numeric {name}, got {value!r}")
-        FAMILIES[self.family].check(self)
-        # then every constant, read or not: to_dict echoes them all
-        _finite(self, *given)
+        rule = FAMILIES[self.family]
+        rule.check(self)
+        # NaN passes every range check, +inf passes alpha >= 0: the row's constants,
+        # then every other one given, as to_dict echoes them all
+        for name in (*rule.constants, *(c for c in given if c not in rule.constants)):
+            if not math.isfinite(value := getattr(self, name)):
+                raise InvalidSpecError(f"{self.family} requires a finite {name}, got {value}")
 
     def to_dict(self) -> dict:
-        d = {"family": self.family}
-        for name in _CONSTANTS:
-            v = getattr(self, name)
-            if v is not None:
-                d[name] = v
-        return d
+        given = {name: getattr(self, name) for name in _CONSTANTS}
+        return {"family": self.family, **{n: v for n, v in given.items() if v is not None}}
 
     @staticmethod
     def from_dict(d: dict) -> "ContractionSpec":
         family = d.get("family")
         aliases = {"banach": "plain", "fphi": "plain"}
         family = aliases.get(family, family)
-        return ContractionSpec(
-            family=family,
-            k=d.get("k"),
-            alpha=d.get("alpha"),
-            beta=d.get("beta"),
-            gamma=d.get("gamma"),
-        )
+        return ContractionSpec(family, **{name: d.get(name) for name in _CONSTANTS})
 
 
 def _k_below(s: ContractionSpec, upper: float, shown: str) -> None:
@@ -164,19 +159,10 @@ def _k_below(s: ContractionSpec, upper: float, shown: str) -> None:
         raise InvalidSpecError(f"{s.family} requires k in (0,{shown}), got {s.k}")
 
 
-def _finite(s: ContractionSpec, *names: str) -> None:
-    # NaN passes every comparison test above it; +inf passes alpha >= 0
-    for name in names:
-        value = getattr(s, name)
-        if not math.isfinite(value):
-            raise InvalidSpecError(f"{s.family} requires a finite {name}, got {value}")
-
-
 def _k_and_alpha(s: ContractionSpec) -> None:
     _k_below(s, 1, "1")
     if s.alpha is None or s.alpha < 0:
         raise InvalidSpecError(f"{s.family} requires alpha >= 0, got {s.alpha}")
-    _finite(s, "alpha")
 
 
 def _three_weights(s: ContractionSpec) -> None:
@@ -185,12 +171,12 @@ def _three_weights(s: ContractionSpec) -> None:
         raise InvalidSpecError(f"{s.family} requires alpha, beta, gamma >= 0")
     if a + b + g >= 1:
         raise InvalidSpecError(f"{s.family} requires alpha+beta+gamma < 1, got {a + b + g}")
-    _finite(s, "alpha", "beta", "gamma")
 
 
 class FamilyRule(NamedTuple):
     check: Callable[[ContractionSpec], None]  # raises InvalidSpecError on bad constants
-    rate: Callable[[ContractionSpec], float]  # per-step geometric factor of an orbit
+    constants: tuple[str, ...]  # the constants the row reads
+    orbit: tuple[Callable[[ContractionSpec], tuple[float, float]], ...]  # (a, b) pairs
     # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed, the points named by indices
     rhs: Callable[..., np.ndarray | AlgebraElement]
     single_point: bool = False  # sampled at points x, not pairs (x, y)
@@ -198,12 +184,14 @@ class FamilyRule(NamedTuple):
     partial_rhs: Optional[Callable[..., AlgebraElement]] = None  # rhs in partial mode
 
 
-# Rates: s_n is the step value at (x_n, x_{n+1}) on the orbit x_{n+1} = T x_n,
-# bounded through the inequality at (x, y) = (x_n, x_{n+1}). Sums keep the grouping
+# Orbit pairs: s_n is the step value at (x_n, x_{n+1}) on the orbit x_{n+1} = T x_n.
+# Each (a, b) reads the inequality in one orientation, (x, y) = (x_n, x_{n+1}) or
+# (x_{n+1}, x_n), as s_{n+1} <= a s_n + b s_{n+1}. Sums keep the grouping
 # k (A + B) and (aA + bB) + cC, terms their argument order: both fix the float sides.
 _PLAIN = FamilyRule(
     lambda s: _k_below(s, 1, "1"),
-    rate=lambda s: s.k,  # s_{n+1} <= k s_n
+    constants=("k",),
+    orbit=(lambda s: (s.k, 0.0),),  # at (x_n, x_{n+1}): s_{n+1} <= k s_n
     rhs=lambda s, t, r, x, y, Tx, Ty: s.k * t(x, y),
 )
 FAMILIES: dict[str, FamilyRule] = {
@@ -211,27 +199,33 @@ FAMILIES: dict[str, FamilyRule] = {
     "graphic": _PLAIN._replace(single_point=True),  # plain at the orbit pair (x, y) = (Tx, x)
     "weak": FamilyRule(
         _k_and_alpha,
-        rate=lambda s: s.k,  # the relaxation term vanishes at y = Tx: s_{n+1} <= k s_n
+        constants=("k", "alpha"),
+        orbit=(lambda s: (s.k, 0.0),),  # the relaxation term vanishes at y = Tx
         rhs=lambda s, t, r, x, y, Tx, Ty: s.k * t(x, y) + s.alpha * r(y, Tx),
         stratified=True,  # the inequality binds near y = Tx
     ),
     "kannan": FamilyRule(
         lambda s: _k_below(s, 0.5, "1/2"),
-        rate=lambda s: s.k / (1.0 - s.k),  # s_{n+1} <= k (s_n + s_{n+1})
+        constants=("k",),
+        # at (x_n, x_{n+1}), reading t(u, v) = t(v, u): s_{n+1} <= k (s_n + s_{n+1})
+        orbit=(lambda s: (s.k, s.k),),
         rhs=lambda s, t, r, x, y, Tx, Ty: s.k * (t(Tx, x) + t(Ty, y)),
     ),
     "reich": FamilyRule(
         _three_weights,
-        # at (x, y) = (x_{n+1}, x_n): s_{n+1} <= (alpha + gamma) s_n + beta s_{n+1}
-        rate=lambda s: (s.alpha + s.gamma) / (1.0 - s.beta),
+        constants=("alpha", "beta", "gamma"),
+        # at (x_{n+1}, x_n), reading t(u, v) = t(v, u):
+        # s_{n+1} <= (alpha + gamma) s_n + beta s_{n+1}
+        orbit=(lambda s: (s.alpha + s.gamma, s.beta),),
         rhs=lambda s, t, r, x, y, Tx, Ty: (
             s.alpha * t(x, y) + s.beta * t(x, Tx) + s.gamma * t(y, Ty)
         ),
     ),
     "chatterjea": FamilyRule(
         lambda s: _k_below(s, 0.5, "1/2"),
+        constants=("k",),
         # d(y, Tx) = 0 and d(x, Ty) <= s_n + s_{n+1}: s_{n+1} <= k (s_n + s_{n+1})
-        rate=lambda s: s.k / (1.0 - s.k),
+        orbit=(lambda s: (s.k, s.k),),
         rhs=lambda s, t, r, x, y, Tx, Ty: s.k * (r(x, Ty) + t(y, Tx)),
         # p(x, Ty) unrelaxed: not the reduced metric form (a FOUND line in CHANGES.md).
         # Its rate is sound: at (x, y) = (x_n, x_{n+1}) the partial triangle p(x_n, x_{n+2})
@@ -243,9 +237,9 @@ FAMILIES: dict[str, FamilyRule] = {
 
 
 def effective_rate(spec: ContractionSpec) -> float:
-    """Per-step geometric factor implied by the family constants (the rate
-    of the family's row in FAMILIES)."""
-    return FAMILIES[spec.family].rate(spec)
+    """Per-step geometric factor implied by the family constants: the least
+    a / (1 - b) over the row's orbit pairs, read in either orientation."""
+    return min(a / (1.0 - b) for a, b in (pair(spec) for pair in FAMILIES[spec.family].orbit))
 
 
 def _sample_positive(kind: alg.Kind, n: int, rng: np.random.Generator, count: int):

@@ -1,11 +1,16 @@
 """Sample builders that only the tests use: point lists drawn one at a time,
 and the columns of hand-built item lists for spaces.first_failure; a
-per-axiom reference of the axiom suites; and a per-point reference of the
-solver."""
+per-axiom reference of the axiom suites; a per-point reference of the
+solver; and family constants drawn over their valid ranges, with the
+closed-form verdicts of bench/expect.py to judge them."""
 
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from cstarfix import algebra as alg
 from cstarfix import solver, spaces
@@ -155,3 +160,36 @@ def reference_uniqueness_probe(T, d, phi, F, spec, starts, cfg, tol: float = 1e-
             all_close = all_close and dist <= tol
     return {"limits": [point_repr(c.z) for c in certs], "pairwise": pairwise,
             "all_below_tol": all_close, "tol": tol, "certificates": certs}
+
+
+# Family constants over each valid range, and the closed-form hypothesis
+# verdicts for T x = c x of bench/expect.py, which calls no cstarfix code.
+
+
+def valid_constants(family: str):
+    """A strategy of constant dicts spread over the family's valid range;
+    Reich's weights are the spacings of two draws, scaled by a total below 1."""
+    k = st.floats(0, 0.5 if family in ("kannan", "chatterjea") else 1,
+                  exclude_min=True, exclude_max=True)
+    if family == "weak":
+        return st.fixed_dictionaries({"k": k, "alpha": st.floats(0, 8)})
+    if family != "reich":
+        return st.fixed_dictionaries({"k": k})
+    unit = st.floats(0, 1)
+    weights = st.tuples(st.floats(0, 1, exclude_max=True), unit, unit).map(
+        lambda d: (d[0] * min(d[1:]), d[0] * abs(d[1] - d[2]), d[0] * (1 - max(d[1:]))))
+    # a total just below 1 can round up to 1
+    return weights.filter(lambda w: sum(w) < 1).map(
+        lambda w: dict(zip(("alpha", "beta", "gamma"), w)))
+
+
+def _load_expect():
+    path = Path(__file__).resolve().parents[1] / "bench" / "expect.py"
+    spec = importlib.util.spec_from_file_location("bench_expect", path)
+    # registered before it runs: its dataclasses look their module up
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+expect = _load_expect()

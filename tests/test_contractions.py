@@ -37,7 +37,7 @@ from cstarfix.spaces import (
     point_repr,
     rowwise,
 )
-from helpers import stack_items
+from helpers import stack_items, valid_constants
 
 
 _VALID_SPECS = [
@@ -130,6 +130,15 @@ class TestSpecValidation:
         assert ContractionSpec.from_dict({"family": "banach", "k": 0.5}).family == "plain"
 
 
+def _rate_constants(family):
+    """Valid constants; Reich's at beta = gamma, where (alpha + gamma) / (1 - beta)
+    is the rate read in either orientation of the orbit step."""
+    if family != "reich":
+        return valid_constants(family)
+    return valid_constants(family).filter(lambda c: c["alpha"] + c["beta"] + c["beta"] < 1).map(
+        lambda c: {**c, "gamma": c["beta"]})
+
+
 class TestEffectiveRate:
     def test_kannan(self):
         assert effective_rate(ContractionSpec("kannan", k=1 / 3)) == pytest.approx(0.5)
@@ -155,6 +164,21 @@ class TestEffectiveRate:
     )
     def test_rate_below_one(self, spec):
         assert 0 < effective_rate(spec) < 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from(sorted(FAMILIES)).flatmap(lambda f: st.tuples(
+        st.just(f), _rate_constants(f))), as_numpy=st.booleans())
+    def test_rate_is_bit_equal_to_each_rows_closed_form(self, case, as_numpy):
+        family, constants = case
+        s = ContractionSpec(family, **{n: np.float64(v) if as_numpy else v
+                                       for n, v in constants.items()})
+        if family == "reich":
+            want = (s.alpha + s.gamma) / (1.0 - s.beta)
+        elif family in ("kannan", "chatterjea"):
+            want = s.k / (1.0 - s.k)
+        else:
+            want = s.k
+        assert effective_rate(s).hex() == want.hex()
 
 
 def _positive_draws(kind, n, rng, count):

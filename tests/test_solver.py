@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cstarfix import algebra as alg
@@ -30,7 +30,13 @@ from cstarfix.solver import (
     uniqueness_probe,
 )
 from cstarfix.spaces import Interval, ValuedDistance, rowwise
-from helpers import reference_bound_audit, reference_picard_solve, reference_uniqueness_probe
+from helpers import (
+    expect,
+    reference_bound_audit,
+    reference_picard_solve,
+    reference_uniqueness_probe,
+    valid_constants,
+)
 
 
 def sum_premetric_problem():
@@ -607,3 +613,64 @@ class TestStackedColumns:
         with pytest.raises(error) as want:
             reference_picard_solve(*args)
         assert got.value.args == want.value.args
+
+
+def _certified_edge(hypothesis, family, constants, inside, outside):
+    """The last c from inside towards outside that the closed form certifies,
+    by bisection: the certified c are an interval around inside."""
+    while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+        if hypothesis(family, constants, mid) == expect.CERTIFY:
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+def _solve_linear(setup, spec, c, u):
+    """(certificate, audit distance) of T x = c x from the point u of the unit
+    interval mapped into the setup's domain."""
+    T = scale_map(c)
+    if setup == "partial":
+        problem = PartialProblem(get_space("max_unit_interval").distance, T, spec)
+        cfg = SolveConfig(x0=u, tol=expect.SOLVE_TOL, max_iter=2000)
+        return solve_partial(problem, cfg).certificate, reduce_problem(problem)[0]
+    if setup == "metric":
+        d, phi, domain = abs_metric(), zero_phi("scalar"), Interval(-1.0, 1.0)
+    else:
+        space = get_space("sum_premetric")
+        d, phi, domain = space.distance, get_phi("coordinate_pair"), space.domain
+    cfg = SolveConfig(x0=corner(domain, u, 0.0), tol=expect.SOLVE_TOL, max_iter=2000,
+                      domain=domain)
+    return picard_solve(T, d, phi, sum_combiner(), spec, cfg), d
+
+
+_HYPOTHESES = {
+    "metric": (expect.scalar_metric_hypothesis, -1.0),  # the closed form and its least c
+    "sum_premetric": (expect.sum_premetric_hypothesis, 0.0),
+    "partial": (expect.max_partial_hypothesis, 0.0),
+}
+
+
+class TestRateSoundness:
+    """A hypothesis that holds everywhere plus a converged orbit never gives
+    a violated a-priori bound: over each family's constants, T x = c x with c
+    certified by the closed forms of bench/expect.py, half of the draws at the
+    largest such c, where the orbit contracts at nearly the family's rate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(setup=st.sampled_from(sorted(_HYPOTHESES)),
+           case=st.sampled_from(expect.FAMILIES).flatmap(
+               lambda f: st.tuples(st.just(f), valid_constants(f))),
+           at_edge=st.booleans(), w=st.floats(0, 1), u=st.floats(0, 1))
+    def test_certified_converged_orbit_passes_audit(self, setup, case, at_edge, w, u):
+        (family, constants), (hypothesis, least) = case, _HYPOTHESES[setup]
+        # the Chatterjea inequality on sum_premetric fails near y = 0 for every c
+        assume(hypothesis(family, constants, 0.0) == expect.CERTIFY)
+        top = _certified_edge(hypothesis, family, constants, 0.0, 1.0)
+        low = _certified_edge(hypothesis, family, constants, 0.0, least) if least else 0.0
+        c = top if at_edge else low + w * (top - low)
+        assert hypothesis(family, constants, c) == expect.CERTIFY
+        cert, d = _solve_linear(setup, ContractionSpec(family, **constants), c, u)
+        if cert.converged:
+            audit = bound_audit(cert, d)
+            assert audit["passed"], (audit["max_violation"], cert.rate_used)
