@@ -214,9 +214,13 @@ FAMILIES: dict[str, FamilyRule] = {
     "reich": FamilyRule(
         _three_weights,
         constants=("alpha", "beta", "gamma"),
-        # at (x_{n+1}, x_n), reading t(u, v) = t(v, u):
-        # s_{n+1} <= (alpha + gamma) s_n + beta s_{n+1}
-        orbit=(lambda s: (s.alpha + s.gamma, s.beta),),
+        orbit=(
+            # at (x_{n+1}, x_n), reading t(u, v) = t(v, u):
+            # s_{n+1} <= (alpha + gamma) s_n + beta s_{n+1}
+            lambda s: (s.alpha + s.gamma, s.beta),
+            # at (x_n, x_{n+1}): s_{n+1} <= (alpha + beta) s_n + gamma s_{n+1}
+            lambda s: (s.alpha + s.beta, s.gamma),
+        ),
         rhs=lambda s, t, r, x, y, Tx, Ty: (
             s.alpha * t(x, y) + s.beta * t(x, Tx) + s.gamma * t(y, Ty)
         ),

@@ -150,6 +150,11 @@ class TestEffectiveRate:
         spec = ContractionSpec("reich", alpha=0.2, beta=0.3, gamma=0.1)
         assert effective_rate(spec) == pytest.approx(0.3 / 0.7)
 
+    def test_reich_reads_both_orientations(self):
+        # (alpha + gamma) / (1 - beta) = 0.7 / 0.9; (alpha + beta) / (1 - gamma) = 0.2 / 0.4
+        spec = ContractionSpec("reich", alpha=0.1, beta=0.1, gamma=0.6)
+        assert effective_rate(spec) == pytest.approx(0.5)
+
     def test_identity_families(self):
         assert effective_rate(ContractionSpec("plain", k=0.5)) == 0.5
         assert effective_rate(ContractionSpec("weak", k=0.25, alpha=2.0)) == 0.25
