@@ -37,6 +37,8 @@ __all__ = [
 class UnknownNameError(KeyError):
     """A name that no registry table (or the demo table) knows."""
 
+    __str__ = Exception.__str__  # the message, not the repr KeyError gives it
+
 
 @dataclass(frozen=True)
 class NamedSpace:

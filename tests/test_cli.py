@@ -101,6 +101,18 @@ class TestAxiomsCommand:
         cfg = write(tmp_path, "a.json", {"space": "nope"})
         assert main(["axioms", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command,config,line", [
+        ("axioms", {"space": "nope"},
+         "unknown space 'nope'; known: absdiff_pair, diag_absdiff_matrix, max_unit_interval, "
+         "shifted_max_matrix, sum_premetric"),
+        ("verify", {"family": "plain", "k": 0.5, "space": "sum_premetric", "operator": "nope",
+                    "phi": "coordinate_pair"},
+         "unknown operator 'nope'; known: halving, identity, quartering"),
+    ])
+    def test_unknown_name_is_printed_unquoted(self, tmp_path, capsys, command, config, line):
+        assert main([command, "--config", write(tmp_path, "c.json", config)]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+
     def test_internal_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")
