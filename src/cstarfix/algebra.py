@@ -177,8 +177,10 @@ class AlgebraElement:
 def _raw(kind: Kind, data: np.ndarray) -> AlgebraElement:
     """Unchecked constructor for freshly computed internal arrays."""
     obj = object.__new__(AlgebraElement)
-    object.__setattr__(obj, "kind", kind)
-    object.__setattr__(obj, "data", data)
+    # the instance dict is what object.__setattr__ writes, at a fraction of its cost
+    fields = obj.__dict__
+    fields["kind"] = kind
+    fields["data"] = data
     return obj
 
 
@@ -197,6 +199,9 @@ def values(kind: Kind, data) -> AlgebraElement:
 
 
 def scalar(value: float) -> AlgebraElement:
+    if isinstance(value, float) and math.isfinite(value):
+        # the float64 __post_init__ would store, without its checks
+        return _raw("scalar", np.float64(value))
     return AlgebraElement("scalar", value)
 
 

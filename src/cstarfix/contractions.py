@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -132,8 +133,14 @@ class ContractionSpec:
         given = [c for c in _CONSTANTS if getattr(self, c) is not None]
         for name in given:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            # np.bool_ is no numbers.Real; bool is an int
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidSpecError(f"{self.family} requires a numeric {name}, got {value!r}")
+            if not isinstance(value, (int, float)):
+                # a NumPy scalar such as np.float32 becomes the Python number it holds, which
+                # json encodes and whose rate is a float's
+                value = int(value) if isinstance(value, numbers.Integral) else float(value)
+                object.__setattr__(self, name, value)
         rule = FAMILIES[self.family]
         rule.check(self)
         # NaN passes every range check, +inf passes alpha >= 0: the row's constants,

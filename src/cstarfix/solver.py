@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra as alg
 from .contractions import ContractionSpec, FFunction, OperatorSpec, PhiFunction, effective_rate
-from .spaces import Domain, Points, ValuedDistance, point_repr
+from .spaces import CONTAINS_SLACK, Box, Domain, Interval, Points, ValuedDistance, point_repr
 
 __all__ = [
     "SolveConfig",
@@ -71,21 +71,34 @@ class SolveConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def _finite(x) -> bool:
-    if isinstance(x, float):  # an interval point, np.float64 included
-        return math.isfinite(x)
-    return bool(np.all(np.isfinite(np.asarray(x, dtype=float))))
+def _float_bounds(domain: Optional[Domain]) -> tuple[float, float]:
+    """(lo, hi) such that a finite float x is in domain iff lo <= x <= hi;
+    nan bounds hold no float, as a box contains none."""
+    if domain is None:
+        return -math.inf, math.inf
+    if isinstance(domain, Interval):
+        return domain.lo - CONTAINS_SLACK, domain.hi + CONTAINS_SLACK
+    return math.nan, math.nan
 
 
-def _next(T: OperatorSpec, x, n: int, domain: Optional[Domain]):
-    """The iterate T(x) at step n, finite and in the domain. A non-finite
-    iterate is reported as such even when it is also outside the domain."""
-    x_next = T(x)
-    if not _finite(x_next):
-        raise NonFiniteOrbitError(n)
-    if domain is not None and not domain.contains(x_next):
-        raise OrbitEscapeError(n, x_next)
-    return x_next
+def _check_point(x, n: int, domain: Optional[Domain]) -> None:
+    """The iterate x at step n, which is no float, must be finite, then in the
+    domain: a non-finite iterate is reported as such even when it is also
+    outside the domain. A float64 box point of the domain's shape is read
+    from one tolist(), any other point through numpy and contains."""
+    if (isinstance(domain, Box) and isinstance(x, np.ndarray) and x.dtype == np.float64
+            and x.shape == (domain.dim,)):
+        coords = x.tolist()
+        if not all(map(math.isfinite, coords)):
+            raise NonFiniteOrbitError(n)
+        inside = all(iv.lo - CONTAINS_SLACK <= v <= iv.hi + CONTAINS_SLACK
+                     for iv, v in zip(domain.intervals, coords))
+    else:
+        if not np.isfinite(np.asarray(x, dtype=float)).all():
+            raise NonFiniteOrbitError(n)
+        inside = domain is None or domain.contains(x)
+    if not inside:
+        raise OrbitEscapeError(n, x)
 
 
 def _norms(values: alg.AlgebraElement) -> np.ndarray:
@@ -156,22 +169,32 @@ def picard_solve(
     cfg: SolveConfig,
 ) -> ConvergenceCertificate:
     rate = effective_rate(spec)
-    x = cfg.x0
-    if cfg.domain is not None and not cfg.domain.contains(x):
+    x, domain = cfg.x0, cfg.domain
+    if domain is not None and not domain.contains(x):
         raise OrbitEscapeError(0, x)
 
-    x_next = _next(T, x, 0, cfg.domain)
-    f0 = F(d(x_next, x), phi(x_next), phi(x))
-    bound = alg.norm(f0) / (1.0 - rate)
-
+    # Each step calls T's and d's functions directly, d through the kind and
+    # size check of d._point; a float iterate is checked against bounds taken
+    # once, and a scalar step value is normed as alg.norm norms it.
+    step, distance, scalar = T.fn, d._point, d.kind == "scalar"
+    lo, hi = _float_bounds(domain)
     iterates, indices, steps, bounds = [], [], [], []
     converged_step = False
     n = 0
     try:
         for n in range(cfg.max_iter):
-            if n:  # the first iterate T(x0) is already known
-                x_next = _next(T, x, n, cfg.domain)
-            step_norm = alg.norm(d(x_next, x))
+            x_next = step(x)
+            if isinstance(x_next, float):  # the checks of _check_point, in its order
+                if not math.isfinite(x_next):
+                    raise NonFiniteOrbitError(n)
+                if not lo <= x_next <= hi:
+                    raise OrbitEscapeError(n, x_next)
+            else:
+                _check_point(x_next, n, domain)
+            value = distance(x_next, x)
+            if not n:  # the envelope reads step 0's distance d(T x0, x0)
+                bound = alg.norm(F(value, phi(x_next), phi(x))) / (1.0 - rate)
+            step_norm = abs(float(value.data)) if scalar else alg.norm(value)
             if n <= DENSE_RECORD_LIMIT or n % SPARSE_RECORD_STRIDE == 0:
                 iterates.append(x)
                 indices.append(n)

@@ -17,6 +17,7 @@ from cstarfix import solver, spaces
 from cstarfix.contractions import effective_rate
 from cstarfix.solver import (
     ConvergenceCertificate,
+    NonFiniteOrbitError,
     OrbitEscapeError,
     SolverError,
     certify_phi_fixed_point,
@@ -92,19 +93,30 @@ def reference_check_axioms(d, axioms, domain, sample_count: int, seed: int) -> l
 # give the same bytes and raise the same first error.
 
 
+def reference_step(T, x, n: int, domain):
+    """The iterate T(x) at step n, finite and in the domain; a non-finite
+    iterate is reported as such even when it is also outside the domain."""
+    x_next = T(x)
+    if not np.isfinite(np.asarray(x_next, dtype=float)).all():
+        raise NonFiniteOrbitError(n)
+    if domain is not None and not domain.contains(x_next):
+        raise OrbitEscapeError(n, x_next)
+    return x_next
+
+
 def reference_picard_solve(T, d, phi, F, spec, cfg) -> ConvergenceCertificate:
     rate = effective_rate(spec)
     x = cfg.x0
     if cfg.domain is not None and not cfg.domain.contains(x):
         raise OrbitEscapeError(0, x)
-    x_next = solver._next(T, x, 0, cfg.domain)
+    x_next = reference_step(T, x, 0, cfg.domain)
     bound = alg.norm(F(d(x_next, x), phi(x_next), phi(x))) / (1.0 - rate)
     iterates, indices, steps, bounds, phis = [], [], [], [], []
     converged_step = False
     n = 0
     for n in range(cfg.max_iter):
         if n:
-            x_next = solver._next(T, x, n, cfg.domain)
+            x_next = reference_step(T, x, n, cfg.domain)
         step_norm = alg.norm(d(x_next, x))
         if n <= solver.DENSE_RECORD_LIMIT or n % solver.SPARSE_RECORD_STRIDE == 0:
             iterates.append(x)

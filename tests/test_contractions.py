@@ -100,6 +100,11 @@ _INVALID_SPECS = [
     ("weak", {"k": 1.5, "alpha": "x"}, "weak requires a numeric alpha, got 'x'"),
     ("reich", {"alpha": [0.1], "beta": 0.1, "gamma": 0.1},
      "reich requires a numeric alpha, got [0.1]"),
+    ("plain", {"k": np.True_}, "plain requires a numeric k, got np.True_"),
+    # a NumPy number is checked as the Python number it holds
+    ("plain", {"k": np.float32(1.5)}, "plain requires k in (0,1), got 1.5"),
+    ("kannan", {"k": np.int64(1)}, "kannan requires k in (0,1/2), got 1"),
+    ("weak", {"k": 0.5, "alpha": np.float32("nan")}, "weak requires a finite alpha, got nan"),
 ]
 
 
@@ -123,6 +128,10 @@ class TestSpecValidation:
     def test_integer_constants_are_accepted(self):
         spec = ContractionSpec("weak", k=0.5, alpha=2, beta=0)
         assert spec.to_dict() == {"family": "weak", "k": 0.5, "alpha": 2, "beta": 0}
+        # NumPy numbers are echoed as the Python numbers they hold, which json encodes
+        spec = ContractionSpec("weak", k=np.float32(0.5), alpha=np.int64(2), gamma=np.int32(0))
+        assert json.dumps(spec.to_dict()) == '{"family": "weak", "k": 0.5, "alpha": 2, "gamma": 0}'
+        assert type(effective_rate(spec)) is float
 
     def test_config_parsing_with_alias(self):
         spec = ContractionSpec.from_dict({"family": "kannan", "k": 0.333})

@@ -163,6 +163,17 @@ class TestPicardSolve:
         plain = picard_solve(prob["T"], prob["d"], prob["phi"], prob["F"], prob["spec"], cfg)
         assert json.dumps(cert.to_dict()) == json.dumps(plain.to_dict())
 
+    def test_distance_called_once_per_iteration_plus_residual(self):
+        # d(T x0, x0) feeds both the initial envelope and the first step norm
+        calls = []
+        d = ValuedDistance(
+            "scalar", 1, lambda x, y: calls.append((x, y)) or alg.scalar(abs(x - y)), "metric")
+        cert = picard_solve(
+            scale_map(0.5), d, zero_phi("scalar"), sum_combiner(), ContractionSpec("plain", k=0.5),
+            SolveConfig(x0=1.0, tol=1e-10),
+        )
+        assert len(calls) == cert.iterations + 1
+
     def test_orbit_escape_detected(self):
         prob = sum_premetric_problem()
         grower = OperatorSpec(lambda x: 2.0 * x + 0.1, "grower")
@@ -219,12 +230,15 @@ class TestNonFiniteOrbit:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("distance", ["user", "registry"])
     @pytest.mark.parametrize("x0, step", [(0.2, 0), (0.5, 1)])
-    def test_interval_orbit(self, bad, distance, x0, step):
+    # an unbounded domain holds an infinite point, which is still no iterate
+    @pytest.mark.parametrize("domain", [Interval(0.0, 1.0), Interval(-np.inf, np.inf), None],
+                             ids=["unit", "unbounded", "none"])
+    def test_interval_orbit(self, bad, distance, x0, step, domain):
         # halves above 0.3, then jumps to a non-finite point
         T = OperatorSpec(lambda x: 0.5 * x if x > 0.3 else bad * x, "breaks")
         d, phi = interval_problem(distance)
         with pytest.raises(NonFiniteOrbitError) as exc:
-            self.solve(T, d, phi, x0, Interval(0.0, 1.0))
+            self.solve(T, d, phi, x0, domain)
         assert exc.value.index == step
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -234,6 +248,17 @@ class TestNonFiniteOrbit:
         d, phi, domain = box_problem()
         with pytest.raises(NonFiniteOrbitError) as exc:
             self.solve(T, d, phi, np.array(x0), domain)
+        assert exc.value.index == step
+
+    @pytest.mark.parametrize("fn, error, step", [
+        (lambda x: 3.0 * x, OrbitEscapeError, 1),  # (0.2, -0.1), (0.6, -0.3), (1.8, -0.9)
+        (lambda x: 0.5, OrbitEscapeError, 0),  # a box holds no float point
+        (lambda x: np.inf, NonFiniteOrbitError, 0),
+    ], ids=["tripling", "float", "infinite-float"])
+    def test_box_orbit_leaves_the_box(self, fn, error, step):
+        d, phi, domain = box_problem()
+        with pytest.raises(error) as exc:
+            self.solve(OperatorSpec(fn, "leaves"), d, phi, np.array([0.2, -0.1]), domain)
         assert exc.value.index == step
 
     def test_escape_on_first_step_precedes_envelope(self):
