@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra as alg
 from .contractions import ContractionSpec, FFunction, OperatorSpec, PhiFunction, effective_rate
-from .spaces import CONTAINS_SLACK, Box, Domain, Interval, Points, ValuedDistance, point_repr
+from .spaces import Box, Domain, Interval, Points, ValuedDistance, point_repr
 
 __all__ = [
     "SolveConfig",
@@ -71,33 +71,13 @@ class SolveConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def _float_bounds(domain: Optional[Domain]) -> tuple[float, float]:
-    """(lo, hi) such that a finite float x is in domain iff lo <= x <= hi;
-    nan bounds hold no float, as a box contains none."""
-    if domain is None:
-        return -math.inf, math.inf
-    if isinstance(domain, Interval):
-        return domain.lo - CONTAINS_SLACK, domain.hi + CONTAINS_SLACK
-    return math.nan, math.nan
-
-
 def _check_point(x, n: int, domain: Optional[Domain]) -> None:
-    """The iterate x at step n, which is no float, must be finite, then in the
-    domain: a non-finite iterate is reported as such even when it is also
-    outside the domain. A float64 box point of the domain's shape is read
-    from one tolist(), any other point through numpy and contains."""
-    if (isinstance(domain, Box) and isinstance(x, np.ndarray) and x.dtype == np.float64
-            and x.shape == (domain.dim,)):
-        coords = x.tolist()
-        if not all(map(math.isfinite, coords)):
-            raise NonFiniteOrbitError(n)
-        inside = all(iv.lo - CONTAINS_SLACK <= v <= iv.hi + CONTAINS_SLACK
-                     for iv, v in zip(domain.intervals, coords))
-    else:
-        if not np.isfinite(np.asarray(x, dtype=float)).all():
-            raise NonFiniteOrbitError(n)
-        inside = domain is None or domain.contains(x)
-    if not inside:
+    """The iterate x at step n must be finite, then in the domain: a
+    non-finite iterate is reported as such even when it is also outside
+    the domain."""
+    if not np.isfinite(np.asarray(x, dtype=float)).all():
+        raise NonFiniteOrbitError(n)
+    if domain is not None and not domain.contains(x):
         raise OrbitEscapeError(n, x)
 
 
@@ -174,17 +154,19 @@ def picard_solve(
         raise OrbitEscapeError(0, x)
 
     # Each step calls T's and d's functions directly, d through the kind and
-    # size check of d._point; a float iterate is checked against bounds taken
-    # once, and a scalar step value is normed as alg.norm norms it.
-    step, distance, scalar = T.fn, d._point, d.kind == "scalar"
-    lo, hi = _float_bounds(domain)
+    # size check of d._point. In an interval, or in no domain, a float iterate
+    # is checked against bounds taken once; a box holds no float, so in a box
+    # every iterate goes through _check_point.
+    step, distance = T.fn, d._point
+    floats = not isinstance(domain, Box)
+    lo, hi = domain.bounds if isinstance(domain, Interval) else (-math.inf, math.inf)
     iterates, indices, steps, bounds = [], [], [], []
     converged_step = False
     n = 0
     try:
         for n in range(cfg.max_iter):
             x_next = step(x)
-            if isinstance(x_next, float):  # the checks of _check_point, in its order
+            if floats and isinstance(x_next, float):  # _check_point's checks, in its order
                 if not math.isfinite(x_next):
                     raise NonFiniteOrbitError(n)
                 if not lo <= x_next <= hi:
@@ -194,7 +176,7 @@ def picard_solve(
             value = distance(x_next, x)
             if not n:  # the envelope reads step 0's distance d(T x0, x0)
                 bound = alg.norm(F(value, phi(x_next), phi(x))) / (1.0 - rate)
-            step_norm = abs(float(value.data)) if scalar else alg.norm(value)
+            step_norm = alg.norm(value)
             if n <= DENSE_RECORD_LIMIT or n % SPARSE_RECORD_STRIDE == 0:
                 iterates.append(x)
                 indices.append(n)

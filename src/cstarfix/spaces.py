@@ -52,12 +52,19 @@ class Interval:
         """count points as one (count,) array, the stream of count sample calls."""
         return rng.uniform(self.lo, self.hi, size=count)
 
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """(lo, hi) widened by CONTAINS_SLACK: x is contained iff lo <= x <= hi."""
+        return self.lo - CONTAINS_SLACK, self.hi + CONTAINS_SLACK
+
     def contains(self, x) -> bool:
-        return self.lo - CONTAINS_SLACK <= float(x) <= self.hi + CONTAINS_SLACK
+        lo, hi = self.bounds
+        return lo <= float(x) <= hi
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         """contains of each row of a point stack."""
-        return (self.lo - CONTAINS_SLACK <= xs) & (xs <= self.hi + CONTAINS_SLACK)
+        lo, hi = self.bounds
+        return (lo <= xs) & (xs <= hi)
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,8 @@ class Box:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             return False
-        return all(iv.contains(v) for iv, v in zip(self.intervals, x))
+        # one tolist() reads the same floats that iterating the array would
+        return all(iv.contains(v) for iv, v in zip(self.intervals, x.tolist()))
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         """contains of each row of a point stack."""
