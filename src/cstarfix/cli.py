@@ -19,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .contractions import ContractionSpec, InvalidSpecError, verify_contraction
-from .demos import DEMOS, run_demo
-from .partial import PartialProblem, solve_partial, verify_corollary_hypothesis
+from .contractions import ContractionSpec, InvalidSpecError
+from .demos import run_demo, solve, verify
 from .registry import UnknownNameError, get_combiner, get_operator, get_phi, get_space
-from .solver import SolveConfig, SolverError, picard_solve
+from .solver import SolveConfig, SolverError
 from .spaces import Box, check_metric_axioms, check_partial_axioms
 
 EXIT_OK = 0
@@ -51,9 +50,12 @@ def _load_config(path: str) -> dict:
 
 def _dump(payload: dict, fmt: str, out: str | None) -> None:
     if fmt == "structured":
-        text = json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n"
+        _write(json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n", out)
     else:
-        text = _humanize(payload)
+        _write(_humanize(payload), out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
@@ -109,19 +111,7 @@ def _max_iter_from_config(value) -> int:
     raise ValueError(f"max_iter must be an integer, got {value!r}")
 
 
-def _mode(cfg: dict) -> str:
-    mode = cfg.get("mode", "metric")
-    if mode not in ("metric", "partial"):
-        raise ConfigError(f"mode must be 'metric' or 'partial', got {mode!r}")
-    return mode
-
-
 def cmd_demo(args) -> int:
-    if args.id not in DEMOS:
-        sys.stderr.write(
-            f"unknown demo {args.id!r}; registered demos: {', '.join(sorted(DEMOS))}\n"
-        )
-        return EXIT_USAGE
     result = run_demo(args.id, seed=args.seed, samples=args.samples, tol=args.tol)
     _dump(result.to_dict(), args.format, args.out)
     return EXIT_OK if result.ok else EXIT_FAILURE
@@ -151,31 +141,33 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _setup(cfg: dict) -> tuple:
+    """The config's spec, space and operator, checked in that order."""
+    spec = _spec_from_config(cfg)
+    return spec, get_space(_require(cfg, "space")), get_operator(_require(cfg, "operator"))
+
+
+def _callables(cfg: dict) -> tuple:
+    """phi and the combiner of a metric-mode config; both None in partial mode."""
+    mode = cfg.get("mode", "metric")
+    if mode not in ("metric", "partial"):
+        raise ConfigError(f"mode must be 'metric' or 'partial', got {mode!r}")
+    if mode == "partial":
+        return None, None
+    return get_phi(_require(cfg, "phi")), get_combiner(cfg.get("combiner", "sum"))
+
+
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    spec = _spec_from_config(cfg)
-    space = get_space(_require(cfg, "space"))
-    T = get_operator(_require(cfg, "operator"))
-    if _mode(cfg) == "partial":
-        problem = PartialProblem(space.distance, T, spec)
-        result = verify_corollary_hypothesis(
-            problem, space.domain, args.samples, args.seed
-        )
-    else:
-        phi = get_phi(_require(cfg, "phi"))
-        F = get_combiner(cfg.get("combiner", "sum"))
-        result = verify_contraction(
-            spec, T, space.distance, phi, F, space.domain, args.samples, args.seed
-        )
+    spec, space, T = _setup(cfg)
+    result = verify(spec, T, space, *_callables(cfg), args.samples, args.seed)
     _dump(result.to_dict(), args.format, args.out)
     return EXIT_OK if result.certified else EXIT_FAILURE
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    spec = _spec_from_config(cfg)
-    space = get_space(_require(cfg, "space"))
-    T = get_operator(_require(cfg, "operator"))
+    spec, space, T = _setup(cfg)
     try:
         solve_cfg = SolveConfig(
             x0=_point_from_config(_require(cfg, "x0"), space.domain),
@@ -185,26 +177,12 @@ def cmd_solve(args) -> int:
         )
     except (OverflowError, ValueError) as exc:
         raise ConfigError(f"bad x0 or max_iter: {exc}") from exc
-    if _mode(cfg) == "partial":
-        result = solve_partial(PartialProblem(space.distance, T, spec), solve_cfg)
-        cert = result.certificate
-        payload = result.to_dict()
-        converged = result.certified
-    else:
-        phi = get_phi(_require(cfg, "phi"))
-        F = get_combiner(cfg.get("combiner", "sum"))
-        cert = picard_solve(T, space.distance, phi, F, spec, solve_cfg)
-        payload = cert.to_dict()
-        converged = cert.converged
+    cert, report = solve(spec, T, space, *_callables(cfg), solve_cfg)
     if args.format == "csv" or (args.out and str(args.out).endswith(".csv")):
-        text = cert.to_csv()
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(cert.to_csv(), args.out)
     else:
-        _dump(payload, args.format, args.out)
-    return EXIT_OK if converged else EXIT_FAILURE
+        _dump(report.to_dict(), args.format, args.out)
+    return EXIT_OK if cert.converged else EXIT_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -315,7 +315,8 @@ def check_F_axioms(
     ))
 
     # empirical continuity modulus: output change per unit input change,
-    # F evaluated at each probed triple and then at its perturbation
+    # F evaluated at each probed triple and then at its perturbation; an
+    # error of F is raised only if no probe before the one it ends fails
     h = 1e-6
     probed = min(100, len(a.data))
     modulus, failed = 0.0, None
@@ -323,16 +324,22 @@ def check_F_axioms(
         step = h * _sample_positive(kind, n, rng, 3 * probed).data
         pairs = [np.stack([v.data[:probed], v.data[:probed] + step[i::3]], axis=1)
                  for i, v in enumerate((a, b, c))]
-        stacks = [alg._raw(kind, p.reshape(-1, *p.shape[2:])) for p in pairs]
-        out = F(*stacks).data
-        delta_in = alg.norm_rows(kind, step).reshape(probed, 3).max(axis=1)
-        delta_out = alg.norm_rows(kind, out[1::2] - out[0::2])
+        stacks = tuple(alg._raw(kind, p.reshape(-1, *p.shape[2:])) for p in pairs)
+        rows, out, error = head_evaluated(F, stacks)
+        done = rows // 2  # the probes whose triple and perturbation both evaluated
+        if not done:
+            raise error
+        out = out.data
+        delta_in = alg.norm_rows(kind, step).reshape(probed, 3).max(axis=1)[:done]
+        delta_out = alg.norm_rows(kind, out[1 : 2 * done : 2] - out[0 : 2 * done : 2])
         moved = np.flatnonzero(delta_in != 0)
         ratio = delta_out[moved] / delta_in[moved]
         bad = np.flatnonzero(~np.isfinite(ratio))
         if bad.size:
             failed = moved[bad[0]]
             ratio = ratio[: bad[0]]
+        elif error is not None:
+            raise error
         modulus = float(ratio.max(initial=0.0))
     check = AxiomCheck("continuity", "pass" if failed is None else "fail", probed)
     if failed is not None:

@@ -2,10 +2,10 @@
 
 Each demo is one row of DEMOS: registry names for its setup, its constants
 and start point, and its stages (axiom checks, hypothesis verification,
-solve, bound audit) with their documented expectations. Each stage kind is
-one function of STAGES. Two demos expect a failure by design: the premetric
-whose self-distance never vanishes, and the square-first combiner that loses
-the dominance axiom for small inputs. A demo succeeds only when all
+solve, bound audit) with their documented expectations. STAGES maps each
+stage kind to its function. Two demos expect a failure by design: the
+premetric whose self-distance never vanishes, and the square-first combiner
+that loses the dominance axiom for small inputs. A demo succeeds only when all
 observations, including expected failures, match.
 """
 
@@ -18,11 +18,11 @@ import numpy as np
 
 from .contractions import ContractionSpec, check_F_axioms, verify_contraction
 from .partial import PartialProblem, solve_partial, verify_corollary_hypothesis
-from .registry import UnknownNameError, get_combiner, get_operator, get_phi, get_space
+from .registry import _lookup, get_combiner, get_operator, get_phi, get_space
 from .solver import SolveConfig, bound_audit, picard_solve
-from .spaces import check_metric_axioms, check_partial_axioms
+from .spaces import check_metric_axioms, check_partial_axioms, point_repr
 
-__all__ = ["DEMOS", "STAGES", "Demo", "run_demo", "DemoResult"]
+__all__ = ["DEMOS", "STAGES", "Demo", "run_demo", "DemoResult", "verify", "solve"]
 
 
 @dataclass
@@ -75,35 +75,45 @@ def _combiner_dominance(demo, space, seed, samples, tol, state):
     return verdict, report.to_dict()
 
 
-def _contraction_verify(demo, space, seed, samples, tol, state):
-    result = verify_contraction(
-        demo.spec, get_operator(demo.operator), space.distance, get_phi(demo.phi),
-        get_combiner(demo.combiner), space.domain, samples, seed,
-    )
-    return _verdict(result.certified), result.to_dict()
+def verify(spec, T, space, phi, F, samples: int, seed: int):
+    """The sampled hypothesis on a named space: in partial mode (phi None)
+    the corollary's, stated in p, else the contraction inequality."""
+    if phi is None:
+        problem = PartialProblem(space.distance, T, spec)
+        return verify_corollary_hypothesis(problem, space.domain, samples, seed)
+    return verify_contraction(spec, T, space.distance, phi, F, space.domain, samples, seed)
 
 
-def _partial_problem(demo, space) -> PartialProblem:
-    return PartialProblem(space.distance, get_operator(demo.operator), demo.spec)
+def solve(spec, T, space, phi, F, cfg: SolveConfig):
+    """(certificate, report) of the Picard solve on a named space: the report
+    is solve_partial's result in partial mode (phi None), else the certificate."""
+    if phi is None:
+        solved = solve_partial(PartialProblem(space.distance, T, spec), cfg)
+        return solved.certificate, solved
+    cert = picard_solve(T, space.distance, phi, F, spec, cfg)
+    return cert, cert
 
 
-def _hypothesis_verify(demo, space, seed, samples, tol, state):
-    problem = _partial_problem(demo, space)
-    result = verify_corollary_hypothesis(problem, space.domain, samples, seed)
+def _callables(demo) -> tuple:
+    """phi and the combiner of a metric-mode demo; both None in partial mode."""
+    if demo.phi is None:
+        return None, None
+    return get_phi(demo.phi), get_combiner(demo.combiner)
+
+
+def _verify(demo, space, seed, samples, tol, state):
+    T = get_operator(demo.operator)
+    result = verify(demo.spec, T, space, *_callables(demo), samples, seed)
     return _verdict(result.certified), result.to_dict()
 
 
 def _solve(demo, space, seed, samples, tol, state):
+    T = get_operator(demo.operator)
     cfg = SolveConfig(x0=demo.x0, tol=tol, domain=space.domain)
+    cert, report = solve(demo.spec, T, space, *_callables(demo), cfg)
     if demo.phi is None:
-        solved = solve_partial(_partial_problem(demo, space), cfg)
-        detail = {"z": solved.certificate.to_dict()["z"],
-                  "self_distance_norm": solved.self_distance_norm}
-        return _verdict(solved.certified), detail
-    cert = picard_solve(
-        get_operator(demo.operator), space.distance, get_phi(demo.phi),
-        get_combiner(demo.combiner), demo.spec, cfg,
-    )
+        return _verdict(cert.converged), {"z": point_repr(cert.z),
+                                          "self_distance_norm": report.self_distance_norm}
     state["certificate"] = cert
     return _verdict(cert.converged), cert.to_dict()
 
@@ -120,8 +130,8 @@ STAGES: dict[str, Callable] = {
     "metric-axioms": _metric_axioms,
     "metric-axioms-self-distance": _metric_self_distance,
     "combiner-dominance": _combiner_dominance,
-    "contraction-verify": _contraction_verify,
-    "hypothesis-verify": _hypothesis_verify,
+    "contraction-verify": _verify,
+    "hypothesis-verify": _verify,
     "solve": _solve,
     "bound-audit": _bound_audit,
 }
@@ -160,10 +170,7 @@ DEMOS: dict[str, Demo] = {
 
 
 def run_demo(demo_id: str, seed: int = 0, samples: int = 1000, tol: float = 1e-10) -> DemoResult:
-    if demo_id not in DEMOS:
-        known = ", ".join(sorted(DEMOS))
-        raise UnknownNameError(f"unknown demo {demo_id!r}; known: {known}")
-    demo = DEMOS[demo_id]
+    demo = _lookup(DEMOS, demo_id, "demo")
     space = get_space(demo.space)
     state: dict = {}
     stages = []

@@ -186,24 +186,25 @@ COMBINERS = {
 
 
 def _lookup(table: dict, name: str, what: str):
+    """table's entry for name, or an UnknownNameError naming the known ones."""
     # a JSON list or object is unhashable: treat it as unknown, not as a TypeError
     if not isinstance(name, str) or name not in table:
         known = ", ".join(sorted(table))
         raise UnknownNameError(f"unknown {what} {name!r}; known: {known}")
-    return table[name]()
+    return table[name]
 
 
 def get_space(name: str) -> NamedSpace:
-    return _lookup(SPACES, name, "space")
+    return _lookup(SPACES, name, "space")()
 
 
 def get_operator(name: str) -> OperatorSpec:
-    return _lookup(OPERATORS, name, "operator")
+    return _lookup(OPERATORS, name, "operator")()
 
 
 def get_phi(name: str) -> PhiFunction:
-    return _lookup(PHIS, name, "phi")
+    return _lookup(PHIS, name, "phi")()
 
 
 def get_combiner(name: str) -> FFunction:
-    return _lookup(COMBINERS, name, "combiner")
+    return _lookup(COMBINERS, name, "combiner")()

@@ -199,12 +199,11 @@ class ValuedDistance:
     label: str = ""
 
     def __call__(self, x, y) -> AlgebraElement:
-        if isinstance(x, Points):
-            # a rowwise fn is checked once per stack, any other fn in every row
-            fn = self.fn if getattr(self.fn, "rowwise", False) else self._point
-            value = over_rows(fn, x, y)
-        else:
-            value = self.fn(x, y)
+        if not isinstance(x, Points):
+            return self._point(x, y)
+        # a rowwise fn is checked once per stack, any other fn in every row
+        fn = self.fn if getattr(self.fn, "rowwise", False) else self._point
+        value = over_rows(fn, x, y)
         if value.kind != self.kind or value.n != self.n:
             raise self._mismatch(value)
         return value

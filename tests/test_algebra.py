@@ -80,6 +80,11 @@ class TestSpectrum:
     def test_vector_entries_sorted(self):
         assert np.allclose(alg.spectrum(alg.vector([3, 1, 2])), [1, 2, 3])
 
+    @pytest.mark.parametrize("e", [alg.scalar(-2.5), alg.vector([3.0, -1.0])])
+    def test_real_kinds_are_self_adjoint(self, e):
+        assert alg.max_asymmetry(e) == 0.0
+        assert alg.spectrum(e).tolist() == sorted(np.ravel(e.data).tolist())
+
     def test_non_self_adjoint_rejected(self):
         with pytest.raises(NotSelfAdjointError) as exc:
             alg.spectrum(alg.matrix([[0, 1], [0, 0]]))
@@ -155,6 +160,10 @@ class TestSqrtAbs:
         r = alg.sqrt_positive(alg.matrix(np.diag([4.0, 9.0])), TOL)
         assert np.allclose(r.data, np.diag([2.0, 3.0]))
 
+    def test_vector_roots_entrywise(self):
+        r = alg.sqrt_positive(alg.vector([4.0, 9.0]), TOL)
+        assert r.kind == "vector" and r.data.tolist() == [2.0, 3.0]
+
     def test_abs_of_negative_scalar(self):
         assert alg.abs_element(alg.scalar(-3.0)).data == pytest.approx(3.0)
 
@@ -219,6 +228,9 @@ def test_non_finite_scalar_rejected(bad):
         lambda: alg.AlgebraElement("scalar", np.float64(bad)),
         lambda: alg.AlgebraElement("scalar", np.asarray(bad)),
         lambda: alg.element_from_dict({"kind": "scalar", "value": bad}),
+        # vector and matrix data too
+        lambda: alg.vector([1.0, bad]),
+        lambda: alg.matrix([[1.0, 0.0], [0.0, bad]]),
     ):
         with pytest.raises(alg.AlgebraError, match="element data must be finite"):
             build()
@@ -242,6 +254,17 @@ _STACKED_DATA = [
 @pytest.mark.parametrize("build", _STACKED_DATA)
 def test_constructors_reject_row_stacked_data(build):
     with pytest.raises(alg.AlgebraError):
+        build()
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: OrderTolerance(-1.0), "tolerance eps must be nonnegative"),
+    (lambda: alg.AlgebraElement("tensor", [1.0]), "unknown kind 'tensor'"),
+    (lambda: alg.element_from_dict({"kind": "tensor", "values": [1.0]}),
+     "unknown serialized kind 'tensor'"),
+])
+def test_unknown_kind_or_negative_tolerance_raises(build, message):
+    with pytest.raises(alg.AlgebraError, match=message):
         build()
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cstarfix import cli
+from cstarfix import demos
 from cstarfix.cli import main
 from cstarfix.demos import DEMOS, STAGES, run_demo
 from cstarfix.registry import UnknownNameError, get_space
@@ -27,7 +27,10 @@ class TestDemoCommand:
 
     def test_unknown_demo_exits_two(self, capsys):
         assert main(["demo", "bogus"]) == 2
-        assert "registered demos" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: unknown demo 'bogus'; known: cor4.1, cor4.2, cor4.3, cor4.4, "
+            "cor4.5, cor4.6, ex2.3, ex2.4, ex3.13, ex3.8\n"
+        )
 
     def test_structured_output_is_deterministic(self, capsys):
         main(["demo", "cor4.4", "--seed", "5", "--samples", "300"])
@@ -117,7 +120,7 @@ class TestAxiomsCommand:
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
-        monkeypatch.setattr(cli, "verify_contraction", broken)
+        monkeypatch.setattr(demos, "verify_contraction", broken)
         cfg = write(
             tmp_path, "v.json",
             {"family": "plain", "k": 0.5, "space": "sum_premetric",
@@ -138,6 +141,12 @@ class TestAxiomsCommand:
         path.write_text("{not json")
         assert main(["axioms", "--config", str(path)]) == 2
         assert "line" in capsys.readouterr().err
+
+    def test_unreadable_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["axioms", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:
@@ -213,6 +222,13 @@ class TestSolveCommand:
         # halving orbit: consecutive step norms halve
         for a, b in zip(steps, steps[1:]):
             assert b == pytest.approx(0.5 * a, rel=1e-9)
+
+    def test_csv_trace_to_stdout_matches_the_file(self, tmp_path, capsys):
+        cfg = write(tmp_path, "s.json", {**_VERIFY, "x0": 1.0})
+        out = tmp_path / "trace.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["solve", "--config", cfg, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_partial_solve_structured(self, tmp_path, capsys):
         cfg = write(
@@ -297,8 +313,14 @@ class TestFlagValidation:
             (["demo", "ex2.4", "--seed", "-1"], None),
             (["verify"], {**_VERIFY, "mode": "partail"}),
             (["solve"], {**_VERIFY, "mode": "partail", "x0": 1.0}),
+            # a spec that fails before its own validation, a check of no
+            # flavor, a missing required key
+            (["verify"], {**_VERIFY, "family": [1]}),
+            (["axioms"], {"space": "sum_premetric", "check": "both"}),
+            (["solve"], _VERIFY),
         ],
-        ids=["demo-csv", "axioms-csv", "verify-csv", "negative-seed", "verify-mode", "solve-mode"],
+        ids=["demo-csv", "axioms-csv", "verify-csv", "negative-seed", "verify-mode", "solve-mode",
+             "verify-family", "axioms-check", "solve-no-x0"],
     )
     def test_usage_error_exits_two(self, tmp_path, capsys, argv, config):
         if config is not None:

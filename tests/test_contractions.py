@@ -222,12 +222,15 @@ def _reference_continuity(F, kind, n, sample_count, seed):
     return modulus, None, None
 
 
-def _blows_up_past_the_boundary(kind):
+def _blows_up_past_the_boundary(kind, limit=math.inf):
     """The sum combiner with an infinite first entry once its second argument
     is not tiny: on the random probes that follow the boundary probes
-    (a, theta, theta). The other entries keep the perturbed output apart."""
+    (a, theta, theta). The other entries keep the perturbed output apart. It
+    raises ArithmeticError once the second argument's norm exceeds limit."""
 
     def fn(a, b, c):
+        if alg.norm(b) > limit:
+            raise ArithmeticError("second argument past the limit")
         out = alg.add(alg.add(a, b), c)
         if alg.norm(b) < 1e-3:
             return out
@@ -278,6 +281,35 @@ class TestFAxioms:
         assert continuity.verdict == "fail" and continuity.samples == 60
         assert continuity.witness == witness
         assert report.continuity_modulus.hex() == modulus.hex()
+
+    @pytest.mark.parametrize("kind,n", [("scalar", 1), ("vector", 2)])
+    def test_later_error_does_not_hide_a_continuity_failure(self, kind, n):
+        # F raises on a probe after the failing one: the failure is reported
+        F = _blows_up_past_the_boundary(kind, limit=1.5)
+        with np.errstate(invalid="ignore"):
+            report = check_F_axioms(F, kind, n, 60, seed=3)
+            modulus, failed, witness = _reference_continuity(F, kind, n, 60, 3)
+        assert failed == 4
+        continuity = next(c for c in report.checks if c.axiom == "continuity")
+        assert continuity.verdict == "fail" and continuity.witness == witness
+        assert report.continuity_modulus.hex() == modulus.hex()
+
+    @pytest.mark.parametrize("spared", [0, 1])
+    def test_continuity_error_after_passing_probes_is_raised(self, spared):
+        # F raises on the perturbed boundary probes (b tiny, not theta) but the
+        # first spared; dominance never sees them and no probe before them fails
+        kept = []
+
+        def fn(a, b, c):
+            size = alg.norm(b)
+            if 0 < size < 1e-3 and size not in kept:
+                if len(kept) == spared:
+                    raise ArithmeticError("perturbed boundary probe")
+                kept.append(size)
+            return alg.add(alg.add(a, b), c)
+
+        with pytest.raises(ArithmeticError, match="perturbed boundary probe"):
+            check_F_axioms(FFunction(fn, "raises"), "vector", 2, 60, seed=3)
 
 
 def sum_premetric_setup():
@@ -334,6 +366,17 @@ class TestVerifyContraction:
             seed=0,
         )
         assert result.certified
+
+    @pytest.mark.xfail(strict=True, reason="weak stratum misses y = T(x) (ROADMAP item 1)")
+    def test_weak_repro_is_falsified(self):
+        # |c| > k, so the weak inequality fails at y = c x, where its relaxation
+        # vanishes; the 95 % jittered stratum never reaches that point
+        d = ValuedDistance("scalar", 1, lambda x, y: alg.scalar(abs(x - y)), "metric")
+        T = OperatorSpec(lambda x: 0.686553828930506 * x, "scale")
+        spec = ContractionSpec("weak", k=0.6852738643784362, alpha=3.468430386413327)
+        result = verify_contraction(spec, T, d, zero_phi("scalar"), sum_combiner(),
+                                    Interval(-1.0, 1.0), 500, seed=0)
+        assert not result.certified
 
     def test_counterexample_found_and_replays(self):
         # identity map cannot halve distances

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cstarfix import algebra as alg
-from cstarfix.contractions import ContractionSpec, verify_contraction
+from cstarfix.contractions import ContractionSpec, OperatorSpec, verify_contraction
 from cstarfix.partial import (
     PartialProblem,
     corollary_sides,
@@ -111,6 +111,15 @@ class TestHypothesisVerification:
     def test_remaining_families(self, spec, operator):
         problem, domain = max_problem(spec, operator)
         assert verify_corollary_hypothesis(problem, domain, 1000, seed=0).certified
+
+    @pytest.mark.xfail(strict=True, reason="partial weak verify is unstratified (ROADMAP item 1)")
+    def test_weak_repro_is_falsified(self):
+        # c = 0.501 > k: the inequality fails at (x, y) = (1, 0.501), which the
+        # uniform stratum misses at this seed
+        T = OperatorSpec(lambda x: 0.501 * x, "scale")
+        space = get_space("max_unit_interval")
+        problem = PartialProblem(space.distance, T, ContractionSpec("weak", k=0.5, alpha=8.0))
+        assert not verify_corollary_hypothesis(problem, space.domain, 1000, seed=0).certified
 
     def test_shifted_space_cannot_satisfy_banach(self):
         # self-distance is at least the unit element, so at x = y = 0 the

@@ -44,6 +44,15 @@ class TestDomains:
         with pytest.raises(ValueError):
             Interval(1.0, 0.0)
 
+    def test_empty_box_rejected(self):
+        with pytest.raises(ValueError, match="box needs at least one interval"):
+            Box([])
+
+    def test_wrong_shape_stack_is_outside_the_box(self):
+        box = Box([Interval(-1.0, 1.0), Interval(0.0, 2.0)])
+        assert box.contains_many(np.zeros((2, 3))).tolist() == [False, False]
+        assert box.contains_many(np.zeros(2)).tolist() == [False, False]
+
 
 class TestPartialAxioms:
     def test_shifted_max_matrix_passes(self):
@@ -95,6 +104,18 @@ class TestMetricAxioms:
     def test_diag_absdiff_matrix_passes(self):
         space = get_space("diag_absdiff_matrix")
         assert check_metric_axioms(space.distance, space.domain, 500, seed=0).all_pass
+
+
+@pytest.mark.parametrize("call,flavor,message", [
+    (lambda d: check_partial_axioms(d, Interval(0.0, 1.0)), "metric",
+     "partial axiom check needs a partial or premetric flavor"),
+    (lambda d: check_metric_axioms(d, Interval(0.0, 1.0)), "partial",
+     "metric axiom check needs a metric or premetric flavor"),
+    (induced_metric, "premetric", "induced metric requires a partial-metric flavor"),
+])
+def test_distance_of_the_wrong_flavor_raises(call, flavor, message):
+    with pytest.raises(ValueError, match=message):
+        call(ValuedDistance("scalar", 1, lambda x, y: alg.scalar(abs(x - y)), flavor))
 
 
 class TestInducedMetric:
