@@ -3,7 +3,9 @@
 Subcommands: `demo` runs a registered end-to-end reproduction, `axioms`
 checks a named space against its distance axioms, `verify` samples a
 contraction or corollary hypothesis from a config file, `solve` runs the
-Picard solver and can export a CSV trace.
+Picard solver and can export a CSV trace. Each loads its JSON config, makes
+one call to `demos` (run_demo, axioms, verify or solve), which resolves the
+config, and writes the result.
 
 Exit codes: 0 success, 1 runtime or verification failure, 2 usage or
 config error.
@@ -17,21 +19,14 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .contractions import ContractionSpec, InvalidSpecError
-from .demos import run_demo, solve, verify
-from .registry import UnknownNameError, get_combiner, get_operator, get_phi, get_space
-from .solver import SolveConfig, SolverError
-from .spaces import Box, check_metric_axioms, check_partial_axioms
+from .contractions import InvalidSpecError
+from .demos import ConfigError, axioms, run_demo, solve, verify
+from .registry import UnknownNameError
+from .solver import SolverError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _load_config(path: str) -> dict:
@@ -79,38 +74,6 @@ def _humanize(payload: dict, indent: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spec_from_config(cfg: dict) -> ContractionSpec:
-    try:
-        return ContractionSpec.from_dict(cfg)
-    except InvalidSpecError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"bad contraction spec: {exc}") from exc
-
-
-def _is_number(value) -> bool:
-    # JSON true and false are ints to Python; a string is not a number
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _point_from_config(value, domain):
-    """x0 as a point of the domain's shape: a number for an interval, a list
-    of dim numbers for a box. Whether it lies inside is the solver's check."""
-    if isinstance(domain, Box):
-        if isinstance(value, list) and len(value) == domain.dim and all(map(_is_number, value)):
-            return np.asarray(value, dtype=float)
-        raise ValueError(f"x0 must be a list of {domain.dim} numbers, got {value!r}")
-    if _is_number(value):
-        return float(value)
-    raise ValueError(f"x0 must be a number, got {value!r}")
-
-
-def _max_iter_from_config(value) -> int:
-    if _is_number(value) and (isinstance(value, int) or value.is_integer()):
-        return int(value)
-    raise ValueError(f"max_iter must be an integer, got {value!r}")
-
-
 def cmd_demo(args) -> int:
     result = run_demo(args.id, seed=args.seed, samples=args.samples, tol=args.tol)
     _dump(result.to_dict(), args.format, args.out)
@@ -118,66 +81,19 @@ def cmd_demo(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    cfg = _load_config(args.config)
-    name = _require(cfg, "space")
-    space = get_space(name)
-    flavor = space.distance.flavor
-    check = cfg.get("check")
-    if check is None:
-        check = "partial" if flavor == "partial" else "metric"
-    if check not in ("partial", "metric"):
-        raise ConfigError(f"check must be 'partial' or 'metric', got {check!r}")
-    if flavor not in (check, "premetric"):
-        raise ConfigError(f"check {check!r} does not fit space {name!r} of {flavor} flavor")
-    checker = check_partial_axioms if check == "partial" else check_metric_axioms
-    report = checker(space.distance, space.domain, args.samples, args.seed)
+    report = axioms(_load_config(args.config), args.samples, args.seed)
     _dump(report.to_dict(), args.format, args.out)
     return EXIT_OK
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
-
-
-def _setup(cfg: dict) -> tuple:
-    """The config's spec, space and operator, checked in that order."""
-    spec = _spec_from_config(cfg)
-    return spec, get_space(_require(cfg, "space")), get_operator(_require(cfg, "operator"))
-
-
-def _callables(cfg: dict) -> tuple:
-    """phi and the combiner of a metric-mode config; both None in partial mode."""
-    mode = cfg.get("mode", "metric")
-    if mode not in ("metric", "partial"):
-        raise ConfigError(f"mode must be 'metric' or 'partial', got {mode!r}")
-    if mode == "partial":
-        return None, None
-    return get_phi(_require(cfg, "phi")), get_combiner(cfg.get("combiner", "sum"))
-
-
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    spec, space, T = _setup(cfg)
-    result = verify(spec, T, space, *_callables(cfg), args.samples, args.seed)
+    result = verify(_load_config(args.config), args.samples, args.seed)
     _dump(result.to_dict(), args.format, args.out)
     return EXIT_OK if result.certified else EXIT_FAILURE
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    spec, space, T = _setup(cfg)
-    try:
-        solve_cfg = SolveConfig(
-            x0=_point_from_config(_require(cfg, "x0"), space.domain),
-            tol=args.tol,
-            max_iter=_max_iter_from_config(cfg.get("max_iter", 10_000)),
-            domain=space.domain,
-        )
-    except (OverflowError, ValueError) as exc:
-        raise ConfigError(f"bad x0 or max_iter: {exc}") from exc
-    cert, report = solve(spec, T, space, *_callables(cfg), solve_cfg)
+    cert, report = solve(_load_config(args.config), args.tol)
     if args.format == "csv" or (args.out and str(args.out).endswith(".csv")):
         _write(cert.to_csv(), args.out)
     else:

@@ -1,28 +1,147 @@
-"""End-to-end demo runs over the built-in worked examples.
+"""The one front door for problems, and the demos that replay the paper's
+worked examples through it.
 
-Each demo is one row of DEMOS: registry names for its setup, its constants
-and start point, and its stages (axiom checks, hypothesis verification,
-solve, bound audit) with their documented expectations. STAGES maps each
-stage kind to its function. Two demos expect a failure by design: the
-premetric whose self-distance never vanishes, and the square-first combiner
-that loses the dominance axiom for small inputs. A demo succeeds only when all
-observations, including expected failures, match.
+A problem is a config dict, the JSON object that `cstarfix axioms`, `verify`
+and `solve` read: registry names for its space, operator, phi and combiner,
+the contraction family and constants at the top level, a start point x0, and
+"mode": "partial" for the corollary form, which derives phi and F from the
+space and so takes neither. axioms, verify and solve resolve a config, in a
+fixed order of config errors, and call the library.
+
+Each demo is one row of DEMOS: such a config and its stages (axiom checks,
+hypothesis verification, solve, bound audit) with their documented
+expectations. STAGES maps each stage kind to its function. Two demos expect a
+failure by design: the premetric whose self-distance never vanishes, and the
+square-first combiner that loses the dominance axiom for small inputs. A demo
+succeeds only when all observations, including expected failures, match.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
-from .contractions import ContractionSpec, check_F_axioms, verify_contraction
+from .contractions import ContractionSpec, InvalidSpecError, check_F_axioms, verify_contraction
 from .partial import PartialProblem, solve_partial, verify_corollary_hypothesis
 from .registry import _lookup, get_combiner, get_operator, get_phi, get_space
 from .solver import SolveConfig, bound_audit, picard_solve
-from .spaces import check_metric_axioms, check_partial_axioms, point_repr
+from .spaces import Box, check_metric_axioms, check_partial_axioms, point_repr
 
-__all__ = ["DEMOS", "STAGES", "Demo", "run_demo", "DemoResult", "verify", "solve"]
+__all__ = ["DEMOS", "STAGES", "ConfigError", "run_demo", "DemoResult", "axioms", "verify",
+           "solve"]
+
+
+class ConfigError(Exception):
+    pass
+
+
+def _require(cfg: dict, key: str):
+    if key not in cfg:
+        raise ConfigError(f"config is missing required key {key!r}")
+    return cfg[key]
+
+
+def _spec_from_config(cfg: dict) -> ContractionSpec:
+    try:
+        return ContractionSpec.from_dict(cfg)
+    except InvalidSpecError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"bad contraction spec: {exc}") from exc
+
+
+def _is_number(value) -> bool:
+    # JSON true and false are ints to Python; a string is not a number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _point_from_config(value, domain):
+    """x0 as a point of the domain's shape: a number for an interval, a list
+    of dim numbers for a box. Whether it lies inside is the solver's check."""
+    if isinstance(domain, Box):
+        if isinstance(value, list) and len(value) == domain.dim and all(map(_is_number, value)):
+            return np.asarray(value, dtype=float)
+        raise ValueError(f"x0 must be a list of {domain.dim} numbers, got {value!r}")
+    if _is_number(value):
+        return float(value)
+    raise ValueError(f"x0 must be a number, got {value!r}")
+
+
+def _max_iter_from_config(value) -> int:
+    if _is_number(value) and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    raise ValueError(f"max_iter must be an integer, got {value!r}")
+
+
+def _setup(cfg: dict) -> tuple:
+    """The config's spec, space and operator, checked in that order."""
+    spec = _spec_from_config(cfg)
+    return spec, get_space(_require(cfg, "space")), get_operator(_require(cfg, "operator"))
+
+
+def _callables(cfg: dict) -> tuple:
+    """phi and the combiner of a metric-mode config; both None in partial mode."""
+    mode = cfg.get("mode", "metric")
+    if mode not in ("metric", "partial"):
+        raise ConfigError(f"mode must be 'metric' or 'partial', got {mode!r}")
+    if mode == "partial":
+        for key in ("phi", "combiner"):
+            if key in cfg:
+                raise ConfigError(f"partial mode takes no {key!r}: it derives phi and F from p")
+        return None, None
+    return get_phi(_require(cfg, "phi")), get_combiner(cfg.get("combiner", "sum"))
+
+
+def axioms(cfg: dict, samples: int, seed: int):
+    """The axiom report of the config's space, under its "check" ("partial"
+    or "metric"), which defaults to the space's flavor."""
+    name = _require(cfg, "space")
+    space = get_space(name)
+    flavor = space.distance.flavor
+    check = cfg.get("check")
+    if check is None:
+        check = "partial" if flavor == "partial" else "metric"
+    if check not in ("partial", "metric"):
+        raise ConfigError(f"check must be 'partial' or 'metric', got {check!r}")
+    if flavor not in (check, "premetric"):
+        raise ConfigError(f"check {check!r} does not fit space {name!r} of {flavor} flavor")
+    checker = check_partial_axioms if check == "partial" else check_metric_axioms
+    return checker(space.distance, space.domain, samples, seed)
+
+
+def verify(cfg: dict, samples: int, seed: int):
+    """The config's sampled hypothesis: in partial mode the corollary's,
+    stated in p, else the contraction inequality."""
+    spec, space, T = _setup(cfg)
+    phi, F = _callables(cfg)
+    if phi is None:
+        problem = PartialProblem(space.distance, T, spec)
+        return verify_corollary_hypothesis(problem, space.domain, samples, seed)
+    return verify_contraction(spec, T, space.distance, phi, F, space.domain, samples, seed)
+
+
+def solve(cfg: dict, tol: float):
+    """(certificate, report) of the config's Picard solve from x0: the report
+    is solve_partial's result in partial mode, else the certificate."""
+    spec, space, T = _setup(cfg)
+    try:
+        solve_cfg = SolveConfig(
+            x0=_point_from_config(_require(cfg, "x0"), space.domain),
+            max_iter=_max_iter_from_config(cfg.get("max_iter", 10_000)),
+            domain=space.domain,
+        )
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"bad x0 or max_iter: {exc}") from exc
+    # tol is the caller's, not the config's: a bad one stays SolveConfig's ValueError
+    solve_cfg = replace(solve_cfg, tol=tol)
+    phi, F = _callables(cfg)
+    if phi is None:
+        solved = solve_partial(PartialProblem(space.distance, T, spec), solve_cfg)
+        return solved.certificate, solved
+    cert = picard_solve(T, space.distance, phi, F, spec, solve_cfg)
+    return cert, cert
 
 
 @dataclass
@@ -38,97 +157,57 @@ class DemoResult:
         return {"demo": self.demo_id, "ok": self.ok, "stages": self.stages}
 
 
-class Demo(NamedTuple):
-    space: str
-    stages: tuple  # (stage name, expected verdict) pairs, in run order
-    operator: Optional[str] = None
-    spec: Optional[ContractionSpec] = None
-    x0: object = None
-    phi: Optional[str] = None  # metric mode only; partial mode derives phi and F
-    combiner: Optional[str] = None
-
-
 def _verdict(passed: bool) -> str:
     return "pass" if passed else "fail"
 
 
-def _partial_axioms(demo, space, seed, samples, tol, state):
-    report = check_partial_axioms(space.distance, space.domain, samples, seed)
-    return _verdict(report.all_pass), report.to_dict()
+def _axiom_verdict(report, axiom: str) -> str:
+    return next(c.verdict for c in report.checks if c.axiom == axiom)
 
 
-def _metric_axioms(demo, space, seed, samples, tol, state):
-    report = check_metric_axioms(space.distance, space.domain, samples, seed)
-    return _verdict(report.all_pass), report.to_dict()
+def _axioms_stage(check: str, axiom: Optional[str] = None) -> Callable:
+    """The stage of demos.axioms under check: the verdict of the whole
+    suite, or of the one axiom it reads."""
+
+    def stage(cfg, seed, samples, tol, state):
+        report = axioms({**cfg, "check": check}, samples, seed)
+        verdict = _verdict(report.all_pass) if axiom is None else _axiom_verdict(report, axiom)
+        return verdict, report.to_dict()
+
+    return stage
 
 
-def _metric_self_distance(demo, space, seed, samples, tol, state):
-    report = check_metric_axioms(space.distance, space.domain, samples, seed)
-    verdict = next(c.verdict for c in report.checks if c.axiom == "self-distance-zero")
-    return verdict, report.to_dict()
+def _combiner_dominance(cfg, seed, samples, tol, state):
+    d = get_space(cfg["space"]).distance
+    report = check_F_axioms(get_combiner(cfg["combiner"]), d.kind, d.n, samples, seed)
+    return _axiom_verdict(report, "dominance"), report.to_dict()
 
 
-def _combiner_dominance(demo, space, seed, samples, tol, state):
-    F = get_combiner(demo.combiner)
-    report = check_F_axioms(F, space.distance.kind, space.distance.n, samples, seed)
-    verdict = next(c.verdict for c in report.checks if c.axiom == "dominance")
-    return verdict, report.to_dict()
-
-
-def verify(spec, T, space, phi, F, samples: int, seed: int):
-    """The sampled hypothesis on a named space: in partial mode (phi None)
-    the corollary's, stated in p, else the contraction inequality."""
-    if phi is None:
-        problem = PartialProblem(space.distance, T, spec)
-        return verify_corollary_hypothesis(problem, space.domain, samples, seed)
-    return verify_contraction(spec, T, space.distance, phi, F, space.domain, samples, seed)
-
-
-def solve(spec, T, space, phi, F, cfg: SolveConfig):
-    """(certificate, report) of the Picard solve on a named space: the report
-    is solve_partial's result in partial mode (phi None), else the certificate."""
-    if phi is None:
-        solved = solve_partial(PartialProblem(space.distance, T, spec), cfg)
-        return solved.certificate, solved
-    cert = picard_solve(T, space.distance, phi, F, spec, cfg)
-    return cert, cert
-
-
-def _callables(demo) -> tuple:
-    """phi and the combiner of a metric-mode demo; both None in partial mode."""
-    if demo.phi is None:
-        return None, None
-    return get_phi(demo.phi), get_combiner(demo.combiner)
-
-
-def _verify(demo, space, seed, samples, tol, state):
-    T = get_operator(demo.operator)
-    result = verify(demo.spec, T, space, *_callables(demo), samples, seed)
+def _verify(cfg, seed, samples, tol, state):
+    result = verify(cfg, samples, seed)
     return _verdict(result.certified), result.to_dict()
 
 
-def _solve(demo, space, seed, samples, tol, state):
-    T = get_operator(demo.operator)
-    cfg = SolveConfig(x0=demo.x0, tol=tol, domain=space.domain)
-    cert, report = solve(demo.spec, T, space, *_callables(demo), cfg)
-    if demo.phi is None:
+def _solve(cfg, seed, samples, tol, state):
+    cert, report = solve(cfg, tol)
+    if cfg.get("mode") == "partial":
         return _verdict(cert.converged), {"z": point_repr(cert.z),
                                           "self_distance_norm": report.self_distance_norm}
     state["certificate"] = cert
     return _verdict(cert.converged), cert.to_dict()
 
 
-def _bound_audit(demo, space, seed, samples, tol, state):
-    audit = bound_audit(state["certificate"], space.distance)
+def _bound_audit(cfg, seed, samples, tol, state):
+    audit = bound_audit(state["certificate"], get_space(cfg["space"]).distance)
     return _verdict(audit["passed"]), {"max_violation": audit["max_violation"]}
 
 
-# Stage kind -> fn(demo, space, seed, samples, tol, state) -> (observed, detail).
+# Stage kind -> fn(cfg, seed, samples, tol, state) -> (observed, detail).
 # state carries a metric solve's certificate to bound-audit.
 STAGES: dict[str, Callable] = {
-    "partial-axioms": _partial_axioms,
-    "metric-axioms": _metric_axioms,
-    "metric-axioms-self-distance": _metric_self_distance,
+    "partial-axioms": _axioms_stage("partial"),
+    "metric-axioms": _axioms_stage("metric"),
+    "metric-axioms-self-distance": _axioms_stage("metric", "self-distance-zero"),
     "combiner-dominance": _combiner_dominance,
     "contraction-verify": _verify,
     "hypothesis-verify": _verify,
@@ -137,45 +216,46 @@ STAGES: dict[str, Callable] = {
 }
 
 
-def _corollary(spec: ContractionSpec, operator: str) -> Demo:
-    stages = (("partial-axioms", "pass"), ("hypothesis-verify", "pass"), ("solve", "pass"))
-    return Demo("max_unit_interval", stages, operator, spec, x0=1.0)
+def _corollary(operator: str, family: str, **constants) -> tuple:
+    cfg = {"space": "max_unit_interval", "operator": operator, "mode": "partial",
+           "family": family, **constants, "x0": 1.0}
+    return cfg, (("partial-axioms", "pass"), ("hypothesis-verify", "pass"), ("solve", "pass"))
 
 
-DEMOS: dict[str, Demo] = {
-    "ex2.3": Demo("shifted_max_matrix", (("partial-axioms", "pass"),)),
-    "ex2.4": Demo("absdiff_pair", (("partial-axioms", "pass"),)),
+# Demo id -> (config, (stage kind, expected verdict) pairs in run order).
+DEMOS: dict[str, tuple] = {
+    "ex2.3": ({"space": "shifted_max_matrix"}, (("partial-axioms", "pass"),)),
+    "ex2.4": ({"space": "absdiff_pair"}, (("partial-axioms", "pass"),)),
     # rate-1/2 contraction on a premetric whose self-distance is not zero
-    "ex3.8": Demo(
-        "sum_premetric",
+    "ex3.8": (
+        {"space": "sum_premetric", "operator": "halving", "phi": "coordinate_pair",
+         "combiner": "sum", "family": "plain", "k": 0.5, "x0": 1.0},
         (("metric-axioms-self-distance", "fail"), ("contraction-verify", "pass"),
          ("solve", "pass"), ("bound-audit", "pass")),
-        "halving", ContractionSpec("plain", k=0.5), 1.0, "coordinate_pair", "sum",
     ),
     # weak contraction; squaring shrinks small arguments, so F loses dominance
-    "ex3.13": Demo(
-        "diag_absdiff_matrix",
+    "ex3.13": (
+        {"space": "diag_absdiff_matrix", "operator": "halving", "phi": "spread_matrix",
+         "combiner": "square_first", "family": "weak", "k": 0.5, "alpha": 4.0,
+         "x0": [1.0, 1.0]},
         (("combiner-dominance", "fail"), ("metric-axioms", "pass"),
          ("contraction-verify", "pass"), ("solve", "pass")),
-        "halving", ContractionSpec("weak", k=0.5, alpha=4.0), np.array([1.0, 1.0]),
-        "spread_matrix", "square_first",
     ),
-    "cor4.1": _corollary(ContractionSpec("plain", k=0.5), "halving"),
-    "cor4.2": _corollary(ContractionSpec("graphic", k=0.5), "halving"),
-    "cor4.3": _corollary(ContractionSpec("weak", k=0.5, alpha=1.0), "halving"),
-    "cor4.4": _corollary(ContractionSpec("kannan", k=1.0 / 3.0), "quartering"),
-    "cor4.5": _corollary(ContractionSpec("reich", alpha=0.5, beta=0.1, gamma=0.1), "halving"),
-    "cor4.6": _corollary(ContractionSpec("chatterjea", k=1.0 / 3.0), "quartering"),
+    "cor4.1": _corollary("halving", "plain", k=0.5),
+    "cor4.2": _corollary("halving", "graphic", k=0.5),
+    "cor4.3": _corollary("halving", "weak", k=0.5, alpha=1.0),
+    "cor4.4": _corollary("quartering", "kannan", k=1.0 / 3.0),
+    "cor4.5": _corollary("halving", "reich", alpha=0.5, beta=0.1, gamma=0.1),
+    "cor4.6": _corollary("quartering", "chatterjea", k=1.0 / 3.0),
 }
 
 
 def run_demo(demo_id: str, seed: int = 0, samples: int = 1000, tol: float = 1e-10) -> DemoResult:
-    demo = _lookup(DEMOS, demo_id, "demo")
-    space = get_space(demo.space)
+    cfg, stages = _lookup(DEMOS, demo_id, "demo")
     state: dict = {}
-    stages = []
-    for name, expected in demo.stages:
-        observed, detail = STAGES[name](demo, space, seed, samples, tol, state)
-        stages.append({"stage": name, "expected": expected, "observed": observed,
-                       "ok": expected == observed, "detail": detail})
-    return DemoResult(demo_id=demo_id, stages=stages)
+    results = []
+    for name, expected in stages:
+        observed, detail = STAGES[name](cfg, seed, samples, tol, state)
+        results.append({"stage": name, "expected": expected, "observed": observed,
+                        "ok": expected == observed, "detail": detail})
+    return DemoResult(demo_id=demo_id, stages=results)

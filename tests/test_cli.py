@@ -44,9 +44,32 @@ class TestDemoCommand:
             assert main(["demo", demo_id, "--samples", "200"]) == 0
 
     def test_every_row_stage_has_one_stage_function(self):
-        used = {name for demo in DEMOS.values() for name, _ in demo.stages}
+        used = {name for _, stages in DEMOS.values() for name, _ in stages}
         assert used <= set(STAGES)  # every stage a row names is in the stage table
         assert set(STAGES) <= used  # every stage kind is used by some row
+
+    @pytest.mark.parametrize("demo_id", [d for d, (cfg, _) in DEMOS.items() if "operator" in cfg])
+    def test_row_config_replays_through_the_cli(self, tmp_path, capsys, demo_id):
+        # a row's config is a verify/solve config: the CLI on it writes the stage details
+        cfg, _ = DEMOS[demo_id]
+        details = {s["stage"]: s["detail"] for s in run_demo(demo_id, seed=3, samples=200).stages}
+        path = write(tmp_path, "row.json", cfg)
+        assert main(["verify", "--config", path, "--seed", "3", "--samples", "200"]) == 0
+        verify_detail = details.get("contraction-verify", details.get("hypothesis-verify"))
+        assert capsys.readouterr().out == json.dumps(verify_detail, sort_keys=True, indent=2) + "\n"
+        assert main(["solve", "--config", path]) == 0
+        out = capsys.readouterr().out
+        if cfg.get("mode") == "partial":
+            solved = json.loads(out)
+            assert details["solve"] == {"z": solved["certificate"]["z"],
+                                        "self_distance_norm": solved["self_distance_norm"]}
+        else:
+            assert out == json.dumps(details["solve"], sort_keys=True, indent=2) + "\n"
+
+    def test_bad_tol_of_a_library_call_is_not_a_config_error(self):
+        # the CLI rejects it first; a library caller gets SolveConfig's ValueError
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            run_demo("cor4.1", samples=20, tol=0.0)
 
     def test_module_entry_point(self):
         def run(*args):
@@ -197,6 +220,20 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("key,value", [("phi", "nope"), ("combiner", [1]),
+                                           ("phi", "coordinate_pair"), ("combiner", "sum")])
+    def test_partial_mode_rejects_phi_and_combiner(self, tmp_path, capsys, command, key, value):
+        # partial mode derives phi and F from p, so even a valid name is not read
+        cfg = write(
+            tmp_path, "v.json",
+            {"family": "plain", "k": 0.5, "space": "max_unit_interval", "operator": "halving",
+             "mode": "partial", "x0": 1.0, key: value},
+        )
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: partial mode takes no {key!r}: it derives phi and F from p\n")
 
     def test_metric_mode_with_phi(self, tmp_path, capsys):
         cfg = write(

@@ -1,8 +1,10 @@
-"""Every name a source or test module imports is used there, and every
-alias.name reference to a cstarfix module in the sources resolves."""
+"""Every name a source or test module imports is used there, every
+alias.name reference to a cstarfix module in the sources resolves, and every
+console script's target imports."""
 
 import ast
 import importlib
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,12 @@ def test_every_all_entry_resolves(path):
     module = importlib.import_module(f"cstarfix.{path.stem}")
     stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not stale, f"{path.name} lists names in __all__ that it lacks: {stale}"
+
+
+def test_every_console_script_target_imports_as_a_callable():
+    # no test runs the installed script, so a moved entry function would break it unseen
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts
+    for script, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr, None)), (script, target)
