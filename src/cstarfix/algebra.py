@@ -434,12 +434,15 @@ def element_to_dict(a: AlgebraElement) -> dict:
 
 
 def element_from_dict(d: dict) -> AlgebraElement:
+    if not isinstance(d, dict):
+        raise AlgebraError(f"serialized element must be a dict, got {type(d).__name__}")
     kind = d.get("kind")
-    if kind == "scalar":
-        return scalar(d["value"])
-    if kind == "vector":
-        return vector(d["values"])
+    fields = {"scalar": ("value",), "vector": ("values",), "matrix": ("re", "im")}
+    if not isinstance(kind, str) or kind not in fields:
+        raise AlgebraError(f"unknown serialized kind {kind!r}")
+    if missing := [name for name in fields[kind] if name not in d]:
+        raise AlgebraError(f"serialized {kind} is missing field {missing[0]!r}")
     if kind == "matrix":
         re, im = (matrix(d[part]).data.real for part in ("re", "im"))  # checked numbers
         return matrix(re + 1j * im)
-    raise AlgebraError(f"unknown serialized kind {kind!r}")
+    return (scalar if kind == "scalar" else vector)(d[fields[kind][0]])

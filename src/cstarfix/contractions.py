@@ -187,7 +187,7 @@ class FamilyRule(NamedTuple):
     # (spec, t, r, x, y, Tx, Ty), t = term, r = relaxed, the points named by indices
     rhs: Callable[..., np.ndarray | AlgebraElement]
     single_point: bool = False  # sampled at points x, not pairs (x, y)
-    stratified: bool = False  # half of the samples put y near T(x)
+    stratified: bool = False  # half of the samples are orbit pairs (x, T(x))
     partial_rhs: Optional[Callable[..., AlgebraElement]] = None  # rhs in partial mode
 
 
@@ -209,7 +209,7 @@ FAMILIES: dict[str, FamilyRule] = {
         constants=("k", "alpha"),
         orbit=(lambda s: (s.k, 0.0),),  # the relaxation term vanishes at y = Tx
         rhs=lambda s, t, r, x, y, Tx, Ty: s.k * t(x, y) + s.alpha * r(y, Tx),
-        stratified=True,  # the inequality binds near y = Tx
+        stratified=True,  # the inequality binds at y = Tx
     ),
     "kannan": FamilyRule(
         lambda s: _k_below(s, 0.5, "1/2"),
@@ -434,13 +434,29 @@ def inequality_sides(
     return family_sides(spec, T, table, x, y)
 
 
-def uniform_samples(domain: Domain, count: int, rng: np.random.Generator, spec: ContractionSpec):
-    """The (x, y) columns of count uniform domain samples from one draw, x then
-    y of each sample from rng; only the x column for single-point families."""
-    if FAMILIES[spec.family].single_point:
-        return (Points(domain.sample_many(rng, count)),)
-    pts = domain.sample_many(rng, 2 * count)
-    return Points(pts[0::2]), Points(pts[1::2])
+def sample_plan(spec: ContractionSpec, T: OperatorSpec, domain: Domain, count: int, seed: int):
+    """The strata of a verify's seeded sample, for sample_check: count uniform
+    (x, y) pairs from one draw, x then y of each, or x alone for a single-point
+    family; a stratified row takes its second half as orbit pairs (x, T(x)),
+    y = x where T(x) is outside the domain, cut short before an x where T raises."""
+    rng = np.random.default_rng(seed)
+    rule = FAMILIES[spec.family]
+    n_orbit = count // 2 if rule.stratified else 0
+    width = 1 if rule.single_point else 2  # points per uniform sample
+
+    def uniform():
+        pts = domain.sample_many(rng, width * (count - n_orbit))
+        return tuple(Points(pts[i::width]) for i in range(width)), None
+
+    def orbit():
+        xs = domain.sample_many(rng, n_orbit)
+        rows, t, error = head_evaluated(T, (Points(xs),))
+        xs = xs[:rows]
+        t = np.asarray(t.data, dtype=float) if rows else xs
+        inside = domain.contains_many(t).reshape(-1, *[1] * (t.ndim - 1))
+        return (Points(xs), Points(np.where(inside, t, xs))), error
+
+    return [uniform, orbit] if n_orbit else [uniform]
 
 
 def sample_check(
@@ -494,27 +510,6 @@ def verify_contraction(
 ) -> VerificationResult:
     """Certify the family inequality over a seeded sample, or produce the
     first counterexample (lowest sample index wins)."""
-    rng = np.random.default_rng(seed)
-    stratified = FAMILIES[spec.family].stratified
-    n_uniform = sample_count - sample_count // 2 if stratified else sample_count
-    strata = [lambda: (uniform_samples(domain, n_uniform, rng, spec), None)]
-    if n_uniform < sample_count:
-        strata.append(lambda: _jittered_pairs(T, domain, rng, sample_count - n_uniform))
+    strata = sample_plan(spec, T, domain, sample_count, seed)
     sides = functools.partial(inequality_sides, spec, T, d, phi, F)
     return sample_check(spec.family, spec, strata, sides, sample_count, seed)
-
-
-def _jittered_pairs(T: OperatorSpec, domain: Domain, rng: np.random.Generator, count: int):
-    """(columns, error): the (x, y) columns of count pairs with y a domain
-    point near T(x), for stratified sampling: x, then a fresh point from rng
-    moved 95 % of the way to T(x), or the fresh point itself if the moved one
-    is outside the domain. An error of T cuts the pairs short before its x."""
-    pts = domain.sample_many(rng, 2 * count)
-    rows, t, error = head_evaluated(T, (Points(pts[0::2]),))
-    xs, fresh = pts[0 : 2 * rows : 2], pts[1 : 2 * rows : 2]
-    if rows:
-        t = np.asarray(t.data, dtype=float)
-        mixed = t + 0.05 * (fresh - t)
-        inside = domain.contains_many(mixed).reshape(-1, *[1] * (mixed.ndim - 1))
-        fresh = np.where(inside, mixed, fresh)
-    return (Points(xs), Points(fresh)), error

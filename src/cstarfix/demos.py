@@ -81,7 +81,7 @@ def _setup(cfg: dict) -> tuple:
     return spec, get_space(_require(cfg, "space")), get_operator(_require(cfg, "operator"))
 
 
-def _callables(cfg: dict) -> tuple:
+def _callables(cfg: dict, space) -> tuple:
     """phi and the combiner of a metric-mode config; both None in partial mode."""
     mode = cfg.get("mode", "metric")
     if mode not in ("metric", "partial"):
@@ -90,6 +90,9 @@ def _callables(cfg: dict) -> tuple:
         for key in ("phi", "combiner"):
             if key in cfg:
                 raise ConfigError(f"partial mode takes no {key!r}: it derives phi and F from p")
+        if (flavor := space.distance.flavor) != "partial":
+            raise ConfigError(
+                f"mode 'partial' does not fit space {cfg['space']!r} of {flavor} flavor")
         return None, None
     return get_phi(_require(cfg, "phi")), get_combiner(cfg.get("combiner", "sum"))
 
@@ -115,7 +118,7 @@ def verify(cfg: dict, samples: int, seed: int):
     """The config's sampled hypothesis: in partial mode the corollary's,
     stated in p, else the contraction inequality."""
     spec, space, T = _setup(cfg)
-    phi, F = _callables(cfg)
+    phi, F = _callables(cfg, space)
     if phi is None:
         problem = PartialProblem(space.distance, T, spec)
         return verify_corollary_hypothesis(problem, space.domain, samples, seed)
@@ -136,7 +139,7 @@ def solve(cfg: dict, tol: float):
         raise ConfigError(f"bad x0 or max_iter: {exc}") from exc
     # tol is the caller's, not the config's: a bad one stays SolveConfig's ValueError
     solve_cfg = replace(solve_cfg, tol=tol)
-    phi, F = _callables(cfg)
+    phi, F = _callables(cfg, space)
     if phi is None:
         solved = solve_partial(PartialProblem(space.distance, T, spec), solve_cfg)
         return solved.certificate, solved

@@ -12,8 +12,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import AlgebraElement
 from .contractions import (
     ContractionSpec,
@@ -23,8 +21,8 @@ from .contractions import (
     VerificationResult,
     family_sides,
     sample_check,
+    sample_plan,
     sum_combiner,
-    uniform_samples,
 )
 from .solver import ConvergenceCertificate, SolveConfig, picard_solve
 from .spaces import Domain, ValuedDistance, induced_metric, rowwise
@@ -84,8 +82,7 @@ def verify_corollary_hypothesis(
     seed: int = 0,
 ) -> VerificationResult:
     """Sample the corollary inequality in p; certificate or first counterexample."""
-    rng = np.random.default_rng(seed)
-    strata = [lambda: (uniform_samples(domain, sample_count, rng, problem.spec), None)]
+    strata = sample_plan(problem.spec, problem.T, domain, sample_count, seed)
     sides = functools.partial(corollary_sides, problem)
     return sample_check(
         f"partial-{problem.spec.family}", problem.spec, strata, sides, sample_count, seed

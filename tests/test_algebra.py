@@ -262,8 +262,13 @@ def test_constructors_reject_row_stacked_data(build):
     (lambda: alg.AlgebraElement("tensor", [1.0]), "unknown kind 'tensor'"),
     (lambda: alg.element_from_dict({"kind": "tensor", "values": [1.0]}),
      "unknown serialized kind 'tensor'"),
+    (lambda: alg.element_from_dict({"kind": ["vector"]}), r"unknown serialized kind \['vector'\]"),
+    (lambda: alg.element_from_dict({"kind": "vector"}), "serialized vector is missing field 'values'"),
+    (lambda: alg.element_from_dict({"kind": "matrix", "re": [[1.0]]}),
+     "serialized matrix is missing field 'im'"),
+    (lambda: alg.element_from_dict([1]), "serialized element must be a dict, got list"),
 ])
-def test_unknown_kind_or_negative_tolerance_raises(build, message):
+def test_malformed_input_raises_algebra_error(build, message):
     with pytest.raises(alg.AlgebraError, match=message):
         build()
 

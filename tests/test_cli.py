@@ -235,6 +235,20 @@ class TestVerifyCommand:
         assert capsys.readouterr() == (
             "", f"config error: partial mode takes no {key!r}: it derives phi and F from p\n")
 
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("space,flavor", [("diag_absdiff_matrix", "metric"),
+                                              ("sum_premetric", "premetric")])
+    def test_partial_mode_on_a_space_of_another_flavor_exits_two(self, tmp_path, capsys,
+                                                                 command, space, flavor):
+        cfg = write(
+            tmp_path, "v.json",
+            {"family": "plain", "k": 0.5, "space": space, "operator": "halving",
+             "mode": "partial", "x0": [1.0, 1.0] if space == "diag_absdiff_matrix" else 1.0},
+        )
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: mode 'partial' does not fit space {space!r} of {flavor} flavor\n")
+
     def test_metric_mode_with_phi(self, tmp_path, capsys):
         cfg = write(
             tmp_path, "v.json",

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cstarfix import algebra as alg
@@ -25,7 +25,7 @@ from cstarfix.contractions import (
     verify_contraction,
     zero_phi,
 )
-from cstarfix.partial import PartialProblem, corollary_sides
+from cstarfix.partial import PartialProblem, corollary_sides, verify_corollary_hypothesis
 from cstarfix.registry import get_operator, get_phi, get_space
 from cstarfix.spaces import (
     Interval,
@@ -37,7 +37,7 @@ from cstarfix.spaces import (
     point_repr,
     rowwise,
 )
-from helpers import stack_items, valid_constants
+from helpers import expect, stack_items, valid_constants
 
 
 _VALID_SPECS = [
@@ -367,16 +367,39 @@ class TestVerifyContraction:
         )
         assert result.certified
 
-    @pytest.mark.xfail(strict=True, reason="weak stratum misses y = T(x) (ROADMAP item 1)")
     def test_weak_repro_is_falsified(self):
         # |c| > k, so the weak inequality fails at y = c x, where its relaxation
-        # vanishes; the 95 % jittered stratum never reaches that point
+        # vanishes: the orbit pairs (x, T(x)) sit there, uniform pairs miss it
         d = ValuedDistance("scalar", 1, lambda x, y: alg.scalar(abs(x - y)), "metric")
         T = OperatorSpec(lambda x: 0.686553828930506 * x, "scale")
         spec = ContractionSpec("weak", k=0.6852738643784362, alpha=3.468430386413327)
         result = verify_contraction(spec, T, d, zero_phi("scalar"), sum_combiner(),
                                     Interval(-1.0, 1.0), 500, seed=0)
         assert not result.certified
+
+    @settings(max_examples=200, deadline=None)
+    @given(mode=st.sampled_from(["metric", "partial"]), c=st.floats(0, 0.99),
+           negative=st.booleans(), gap=st.floats(1e-6, 1e-2), above=st.booleans(),
+           alpha=st.floats(0, 8), seed=st.integers(0, 2**32 - 1))
+    def test_weak_verdict_matches_the_closed_form(self, mode, c, negative, gap, above, alpha,
+                                                  seed):
+        # T x = c x with |c| - k = +-gap: the weak inequality holds iff |c| <= k,
+        # and otherwise fails at the orbit pairs (x, c x) alone
+        k = c - gap if above else c + gap
+        assume(0 < k < 1)
+        spec, T = ContractionSpec("weak", k=k, alpha=alpha), OperatorSpec(lambda x: c * x, "c")
+        if mode == "partial":
+            space = get_space("max_unit_interval")
+            result = verify_corollary_hypothesis(PartialProblem(space.distance, T, spec),
+                                                 space.domain, 200, seed)
+            want = expect.max_partial_hypothesis("weak", {"k": k, "alpha": alpha}, c)
+        else:
+            c = -c if negative else c
+            d = ValuedDistance("scalar", 1, lambda x, y: alg.scalar(abs(x - y)), "metric")
+            result = verify_contraction(spec, T, d, zero_phi("scalar"), sum_combiner(),
+                                        Interval(-1.0, 1.0), 200, seed)
+            want = expect.scalar_metric_hypothesis("weak", {"k": k, "alpha": alpha}, c)
+        assert result.certified == (want == expect.CERTIFY)
 
     def test_counterexample_found_and_replays(self):
         # identity map cannot halve distances
@@ -392,56 +415,63 @@ class TestVerifyContraction:
         assert not alg.leq(lhs, rhs)
 
     def test_weak_stream_is_lazy(self):
-        # a failure at sample 0 must not first draw the jittered half of the
-        # stratified weak stream, each of whose pairs evaluates T
+        # a failure at sample 0 must not first draw the orbit half of the
+        # stratified weak stream, each of whose pairs evaluates T: T runs on
+        # the first uniform pair, the first two of the stream's draws, alone
         calls = []
         T = OperatorSpec(lambda x: calls.append(x) or x, "counted-identity")
         d = ValuedDistance("scalar", 1, lambda x, y: alg.scalar(abs(x - y)), "metric")
+        domain = Interval(0.0, 1.0)
         result = verify_contraction(
             ContractionSpec("weak", k=0.5, alpha=0.0),
             T,
             d,
             zero_phi("scalar"),
             sum_combiner(),
-            Interval(0.0, 1.0),
+            domain,
             1000,
             seed=0,
         )
         assert result.counterexample["index"] == 0
-        assert len(calls) <= 4
+        assert calls == domain.sample_many(np.random.default_rng(0), 2).tolist()
 
     @pytest.mark.parametrize("fails,raises", [
-        (("uniform", 30), 5),  # a uniform counterexample wins over any jittered error
-        (("jittered", 3), 40),  # so does a jittered one before the raising sample
-        (("jittered", 60), 40),  # one after it does not: T's error propagates
+        (("uniform", 30), 5),  # a uniform counterexample wins over any orbit error
+        (("orbit", 3), 40),  # so does an orbit one before the raising sample
+        (("orbit", 60), 40),  # one after it does not: T's error propagates
         (None, 0),
     ])
-    def test_operator_error_in_the_jittered_stratum(self, fails, raises):
-        # the weak stream is 100 uniform pairs, then 100 pairs with y near T(x)
+    def test_operator_error_in_the_orbit_stratum(self, fails, raises):
+        # the weak stream is 100 uniform pairs from 200 draws, then 100 orbit
+        # pairs (x, T(x)) from 100 draws of x. A failing x maps to the domain
+        # point 1.0, which T throws out of it, so its uniform pair fails, and
+        # so does its orbit pair (x, 1.0)
         class Blowup(Exception):
             pass
 
         rng = np.random.default_rng(0)
         domain = Interval(0.0, 1.0)
         stratum_x = {"uniform": domain.sample_many(rng, 200)[0::2],
-                     "jittered": domain.sample_many(rng, 200)[0::2]}
-        raising = float(stratum_x["jittered"][raises])
+                     "orbit": domain.sample_many(rng, 100)}
+        raising = float(stratum_x["orbit"][raises])
         failing = None if fails is None else float(stratum_x[fails[0]][fails[1]])
 
         def t(x):
             if x == raising:
                 raise Blowup(x)
-            return 10.0 if x == failing else 0.5 * x
+            if x == failing:
+                return 1.0
+            return 10.0 if x == 1.0 else 0.25 * x
 
-        args = (ContractionSpec("weak", k=0.6, alpha=0.0), OperatorSpec(t, "blowup"),
+        args = (ContractionSpec("weak", k=0.3, alpha=0.0), OperatorSpec(t, "blowup"),
                 ValuedDistance("scalar", 1, lambda x, y: alg.scalar(abs(x - y)), "metric"),
                 zero_phi("scalar"), sum_combiner(), domain, 200)
-        if fails is None or (fails[0] == "jittered" and fails[1] > raises):
+        if fails is None or (fails[0] == "orbit" and fails[1] > raises):
             with pytest.raises(Blowup):
                 verify_contraction(*args, seed=0)
             return
         ce = verify_contraction(*args, seed=0).counterexample
-        assert ce["index"] == fails[1] + (100 if fails[0] == "jittered" else 0)
+        assert ce["index"] == fails[1] + (100 if fails[0] == "orbit" else 0)
         assert ce["x"] == failing
 
     @pytest.mark.parametrize("fails", [True, False])

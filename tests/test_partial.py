@@ -112,10 +112,9 @@ class TestHypothesisVerification:
         problem, domain = max_problem(spec, operator)
         assert verify_corollary_hypothesis(problem, domain, 1000, seed=0).certified
 
-    @pytest.mark.xfail(strict=True, reason="partial weak verify is unstratified (ROADMAP item 1)")
     def test_weak_repro_is_falsified(self):
-        # c = 0.501 > k: the inequality fails at (x, y) = (1, 0.501), which the
-        # uniform stratum misses at this seed
+        # c = 0.501 > k: the inequality fails at the orbit pairs (x, 0.501 x),
+        # which the uniform pairs miss at this seed
         T = OperatorSpec(lambda x: 0.501 * x, "scale")
         space = get_space("max_unit_interval")
         problem = PartialProblem(space.distance, T, ContractionSpec("weak", k=0.5, alpha=8.0))

@@ -5,6 +5,7 @@ evaluate and test each chunk as one stack. Every stacked result here must
 equal, bit for bit, what evaluating one point or one item at a time gives.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ from cstarfix.contractions import (
     inequality_sides,
     verify_contraction,
 )
-from cstarfix.partial import PartialProblem, verify_corollary_hypothesis
+from cstarfix.partial import PartialProblem, corollary_sides, verify_corollary_hypothesis
 from cstarfix.registry import COMBINERS, OPERATORS, PHIS, SPACES, get_combiner, get_space
 from cstarfix.spaces import (
     Box,
@@ -182,30 +183,27 @@ def test_contains_many_matches_contains():
 
 
 def _reference_samples(spec, T, domain, count, seed):
-    """verify_contraction's sample stream drawn one point at a time: uniform
-    pairs, then, for a stratified family, y moved 95 % of the way to T(x)."""
+    """The verifies' sample plan drawn one point at a time: uniform pairs,
+    then, for a stratified family, orbit pairs (x, T(x)), y = x where T(x)
+    is outside the domain."""
     rng = np.random.default_rng(seed)
     rule = FAMILIES[spec.family]
-    n_uniform = count - count // 2 if rule.stratified else count
-    for _ in range(n_uniform):
+    n_orbit = count // 2 if rule.stratified else 0
+    for _ in range(count - n_orbit):
         x = domain.sample(rng)
         yield x, (None if rule.single_point else domain.sample(rng))
-    for _ in range(count - n_uniform):
+    for _ in range(n_orbit):
         x = domain.sample(rng)
         t = np.asarray(T(x), dtype=float)
-        fresh = domain.sample(rng)
-        mixed = t + 0.05 * (np.asarray(fresh, dtype=float) - t)
-        if domain.contains(mixed):
-            yield x, (float(mixed) if mixed.ndim == 0 else mixed)
-        else:
-            yield x, fresh
+        yield x, ((float(t) if t.ndim == 0 else t) if domain.contains(t) else x)
 
 
-def _reference_verify(spec, T, d, phi, F, domain, count, seed):
-    """(max slack norm, first counterexample) sample by sample."""
+def _reference_scan(samples, sides):
+    """(max slack norm, first counterexample) sample by sample, sides(x, y)
+    giving both sides of the inequality at a sample."""
     max_slack = 0.0
-    for index, (x, y) in enumerate(_reference_samples(spec, T, domain, count, seed)):
-        lhs, rhs = inequality_sides(spec, T, d, phi, F, x, y)
+    for index, (x, y) in enumerate(samples):
+        lhs, rhs = sides(x, y)
         if not alg.leq(lhs, rhs):
             ce = {"index": index, "x": point_repr(x), "lhs": alg.element_to_dict(lhs),
                   "rhs": alg.element_to_dict(rhs)}
@@ -214,6 +212,12 @@ def _reference_verify(spec, T, d, phi, F, domain, count, seed):
             return max_slack, ce
         max_slack = max(max_slack, alg.norm(alg.sub(rhs, lhs)))
     return max_slack, None
+
+
+def _reference_verify(spec, T, d, phi, F, domain, count, seed):
+    """verify_contraction sample by sample."""
+    return _reference_scan(_reference_samples(spec, T, domain, count, seed),
+                           functools.partial(inequality_sides, spec, T, d, phi, F))
 
 
 def _user_phi():
@@ -244,23 +248,31 @@ def test_verify_with_mixed_callables_matches_per_item_reference(family, consts, 
     assert result.max_slack_norm.hex() == ref_slack.hex()
 
 
+@pytest.mark.parametrize("mode", ["metric", "partial"])
 @pytest.mark.parametrize("domain", [Interval(0.0, 1.0), Box([Interval(0.0, 1.0)] * 2)])
-def test_verify_evaluates_the_per_point_sample_stream(domain):
-    # weak pairs: half uniform, half with y moved 95 % of the way to T(x); every
-    # distance the stacked scan evaluates is one the per-point loop evaluates
+def test_verify_evaluates_the_per_point_sample_stream(domain, mode):
+    # weak pairs: half uniform, half orbit pairs (x, T(x)); every distance the
+    # stacked scan evaluates is one the per-point loop evaluates
     calls = []
 
     def fn(x, y):
         calls.append((point_repr(x), point_repr(y)))
         return alg.scalar(float(np.sum(np.abs(np.asarray(x) - np.asarray(y)))))
 
-    d = ValuedDistance("scalar", 1, fn, "metric", label="recorded")
-    args = (ContractionSpec("weak", k=0.9, alpha=1.0), OperatorSpec(lambda x: 0.25 * x, "q"),
-            d, PhiFunction(lambda x: alg.scalar(0.0), "zero"), get_combiner("sum"))
-    result = verify_contraction(*args, domain, 300, 5)
+    d = ValuedDistance("scalar", 1, fn, mode, label="recorded")
+    spec, T = ContractionSpec("weak", k=0.9, alpha=1.0), OperatorSpec(lambda x: 0.25 * x, "q")
+    if mode == "partial":
+        problem = PartialProblem(d, T, spec)
+        result = verify_corollary_hypothesis(problem, domain, 300, 5)
+        sides = functools.partial(corollary_sides, problem)
+    else:
+        args = (spec, T, d, PhiFunction(lambda x: alg.scalar(0.0), "zero"), get_combiner("sum"))
+        result = verify_contraction(*args, domain, 300, 5)
+        sides = functools.partial(inequality_sides, *args)
     stacked = sorted(map(repr, calls))
     calls.clear()
-    assert _reference_verify(*args, domain, 300, 5) == (result.max_slack_norm, None)
+    samples = _reference_samples(spec, T, domain, 300, 5)
+    assert _reference_scan(samples, sides) == (result.max_slack_norm, None)
     assert stacked == sorted(map(repr, calls))
 
 
